@@ -397,7 +397,9 @@ pub struct World {
     /// in at [`World::report`].
     stats: SimStats,
     /// Per-workload-name aggregates (streaming mode only; empty in
-    /// exact mode).
+    /// exact mode). Only `name` and `members` are kept during the run;
+    /// [`World::report`] fills the histograms by merging each member
+    /// task's.
     groups: Vec<GroupReport>,
     /// Bounded ring of periodic device snapshots (empty unless
     /// [`WorldConfig::sample_every`] is set).
@@ -1213,10 +1215,7 @@ impl World {
         }
         let action = {
             let task = &mut self.tasks[id.index()];
-            let mut rng = task.rng.clone();
-            let action = task.workload.next_action(&mut rng);
-            task.rng = rng;
-            action
+            task.workload.next_action(&mut task.rng)
         };
         match action {
             TaskAction::CpuWork(d) => {
@@ -1249,13 +1248,8 @@ impl World {
                 let len = self.now.saturating_duration_since(task.round_start);
                 match self.config.metrics {
                     MetricsMode::Exact => task.rounds.push(len),
-                    MetricsMode::Streaming => {
-                        task.rounds_hist.record(len);
-                        let group = task.group;
-                        self.groups[group].rounds.record(len);
-                    }
+                    MetricsMode::Streaming => task.rounds_hist.record(len),
                 }
-                let task = &mut self.tasks[id.index()];
                 task.round_start = self.now;
                 self.schedule_step(id, SimDuration::from_nanos(1));
             }
@@ -1358,10 +1352,7 @@ impl World {
                     if let Some(prev) = task.last_submit {
                         let gap = self.now.saturating_duration_since(prev);
                         task.interarrival_hist.record(gap);
-                        let group = task.group;
-                        self.groups[group].interarrival.record(gap);
                     }
-                    let task = &mut self.tasks[id.index()];
                     task.last_submit = Some(self.now);
                 }
             }
@@ -1391,12 +1382,7 @@ impl World {
                         task.service_kinds.push(done.request.kind);
                     }
                 }
-                MetricsMode::Streaming => {
-                    let service = done.request.service;
-                    task.service_hist.record(service);
-                    let group = task.group;
-                    self.groups[group].service.record(service);
-                }
+                MetricsMode::Streaming => task.service_hist.record(done.request.service),
             }
         }
         // Wake the submitter if it was waiting on this completion
@@ -2237,6 +2223,14 @@ impl World {
                 self.usage_of(t.id)
             };
             let t = &mut self.tasks[i];
+            if self.config.metrics == MetricsMode::Streaming {
+                // Merging is lossless, so each group equals one
+                // histogram that recorded every member's samples.
+                let g = &mut self.groups[t.group];
+                g.rounds.merge(&t.rounds_hist);
+                g.service.merge(&t.service_hist);
+                g.interarrival.merge(&t.interarrival_hist);
+            }
             tasks.push(TaskReport {
                 id: t.id,
                 name: std::mem::take(&mut t.name),

@@ -119,8 +119,10 @@ pub struct Gpu {
     /// Graphics channels rest until this instant while compute work is
     /// pending (set after each graphics completion).
     graphics_blocked_until: SimTime,
-    /// Ground-truth cumulative device occupancy per task (both engines).
-    usage: BTreeMap<TaskId, SimDuration>,
+    /// Ground-truth cumulative device occupancy per task (both
+    /// engines), indexed by [`TaskId`] and sized to the largest id
+    /// charged; a host's `World` hands out dense ids from 0.
+    usage: Vec<SimDuration>,
     /// Total requests completed, for sanity accounting.
     completed_requests: u64,
 }
@@ -159,7 +161,7 @@ impl Gpu {
             dma_rotation: Rotation::default(),
             next_request: 0,
             graphics_blocked_until: SimTime::ZERO,
-            usage: BTreeMap::new(),
+            usage: Vec::new(),
             completed_requests: 0,
         }
     }
@@ -331,7 +333,7 @@ impl Gpu {
             channel.record_completion(request.reference);
         }
         let occupancy = now.saturating_duration_since(run.dispatched_at);
-        *self.usage.entry(request.task).or_default() += occupancy;
+        self.charge(request.task, occupancy);
         self.completed_requests += 1;
         if request.kind == RequestKind::Graphics {
             self.graphics_blocked_until = now + self.config.graphics_cooldown;
@@ -384,7 +386,7 @@ impl Gpu {
     pub fn preempt_running(&mut self, now: SimTime, engine: EngineClass) -> Option<Request> {
         let run = self.engine_mut(engine).abort(now)?;
         let elapsed = now.saturating_duration_since(run.dispatched_at);
-        *self.usage.entry(run.request.task).or_default() += elapsed;
+        self.charge(run.request.task, elapsed);
         let consumed = now.saturating_duration_since(run.started_at);
         let mut remainder = run.request;
         if remainder.service != SimDuration::MAX {
@@ -453,7 +455,7 @@ impl Gpu {
             };
             if let Some(occupancy) = aborted_occupancy {
                 self.engine_mut(class).abort(now);
-                *self.usage.entry(task).or_default() += occupancy;
+                self.charge(task, occupancy);
                 summary.aborted_engines.push(class);
             }
         }
@@ -510,7 +512,19 @@ impl Gpu {
 
     /// Ground-truth cumulative occupancy charged to `task`.
     pub fn usage_of(&self, task: TaskId) -> SimDuration {
-        self.usage.get(&task).copied().unwrap_or(SimDuration::ZERO)
+        self.usage
+            .get(task.index())
+            .copied()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
+    /// Adds `occupancy` to `task`'s ground-truth usage.
+    fn charge(&mut self, task: TaskId, occupancy: SimDuration) {
+        let i = task.index();
+        if i >= self.usage.len() {
+            self.usage.resize(i + 1, SimDuration::ZERO);
+        }
+        self.usage[i] += occupancy;
     }
 
     /// Ground-truth busy time of an engine.

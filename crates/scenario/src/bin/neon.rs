@@ -493,7 +493,16 @@ fn cmd_bench(opts: &Options) -> ExitCode {
     eprintln!("benchmarking {} cells: serial first...", cells.len());
     let serial = sweep::run_serial(&cells);
     eprintln!("  serial:     {:>9.1} ms", serial.wall.as_secs_f64() * 1e3);
-    let events: u64 = serial.results.iter().map(|r| r.report.events).sum();
+    // A fleet cell's `report` is host 0's: count every host.
+    let events: u64 = serial
+        .results
+        .iter()
+        .map(|r| {
+            r.fleet
+                .as_ref()
+                .map_or(r.report.events, |f| f.hosts.iter().map(|h| h.events).sum())
+        })
+        .sum();
     // One parallel run per requested thread count (default: one run
     // at the host's available parallelism). Progress goes to stderr;
     // stdout carries only the JSON document (when no --out is given),

@@ -17,7 +17,7 @@ use neon_core::fault::FaultMode;
 use neon_core::telemetry::SimStats;
 use neon_metrics::CounterKey as _;
 
-use crate::driver::CellSummary;
+use crate::driver::{CellResult, CellSummary};
 use crate::sweep::SweepOutcome;
 
 /// Escapes a string for a JSON literal.
@@ -288,6 +288,14 @@ migrations_in,migrations_out\n",
     o
 }
 
+/// Simulated events of one cell: every host's on a fleet cell, whose
+/// `report` is host 0's alone.
+fn cell_events(r: &CellResult) -> u64 {
+    r.fleet
+        .as_ref()
+        .map_or(r.report.events, |f| f.hosts.iter().map(|h| h.events).sum())
+}
+
 /// Serializes a `neon bench` run as the machine-readable perf
 /// trajectory document (`BENCH_core.json`): wall times, simulated
 /// discrete-event counts and simulator throughput (events per host
@@ -323,7 +331,7 @@ pub fn bench_json(
     parallel_runs: &[SweepOutcome],
     row_rss: &[Option<u64>],
 ) -> String {
-    let total_events: u64 = serial.results.iter().map(|r| r.report.events).sum();
+    let total_events: u64 = serial.results.iter().map(cell_events).sum();
     let serial_s = serial.wall.as_secs_f64();
     // The headline parallel run: the widest one (ties: the last).
     let headline = parallel_runs
@@ -413,7 +421,7 @@ pub fn bench_json(
         let mut peak_rss: Option<u64> = None;
         for c in cells {
             n += 1;
-            events += c.report.events;
+            events += cell_events(c);
             wall += c.summary.elapsed.as_secs_f64();
             if let Some(rss) = c.summary.peak_rss_bytes {
                 peak_rss = Some(peak_rss.map_or(rss, |p| p.max(rss)));
@@ -665,8 +673,8 @@ pub fn to_table(outcome: &SweepOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{CellResult, DeviceSummary, HostSummary};
-    use neon_core::fleet::FleetPlacementKind;
+    use crate::driver::{DeviceSummary, HostSummary};
+    use neon_core::fleet::{FleetPlacementKind, FleetReport};
     use neon_core::placement::PlacementKind;
     use neon_core::rebalance::RebalanceKind;
     use neon_core::report::DeviceReport;
@@ -833,6 +841,35 @@ mod tests {
         assert!(json.contains("\"events_per_sec\": 1028750.0"), "{json}");
         // One scenario group for the single cell.
         assert_eq!(json.matches("\"cells\": 1").count(), 2, "{json}");
+    }
+
+    #[test]
+    fn bench_json_counts_every_host_of_a_fleet_cell() {
+        let mut serial = outcome();
+        let cell = &mut serial.results[0];
+        let host0 = cell.report.clone();
+        let mut host1 = cell.report.clone();
+        host1.events = 20_000;
+        cell.summary.hosts = 2;
+        cell.fleet = Some(FleetReport {
+            wall: host0.wall,
+            hosts: vec![host0, host1],
+            groups: vec![],
+            cross_host_migrations: 0,
+            cluster_transfer_stall: SimDuration::ZERO,
+            fleet_rejected: 0,
+            host_failures: 0,
+            fleet_lost_tasks: 0,
+            fleet_fault_recovered: 0,
+            host_degraded: SimDuration::ZERO,
+        });
+        let json = bench_json(&serial, std::slice::from_ref(&serial), &[]);
+        // Host 0 alone would read 12345.
+        assert!(json.contains("\"sim_events\": 32345, "), "{json}");
+        assert!(
+            json.contains("\"cells\": 1, \"sim_events\": 32345"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -6,22 +6,40 @@
 //! tie-breaking). Stability is what makes whole-simulation determinism
 //! possible, so it is load-bearing, tested, and guaranteed.
 //!
-//! # Design: inline-payload slab
+//! # Design: inline-payload slab behind a two-tier key index
 //!
-//! Payloads live in a `Vec` slab with a free list; heap keys carry the
+//! Payloads live in a `Vec` slab with a free list; keys carry the
 //! payload's slot index and a per-slot generation counter, so every
-//! operation on the hot path is allocation- and hash-free:
+//! operation on the hot path is allocation- and hash-free.
 //!
-//! - **schedule** pushes a 32-byte key and writes one slab slot —
-//!   amortized O(log n), no hashing (the previous design paid a SipHash
-//!   `HashMap` insert per event).
+//! Keys live in one of two tiers, each ordered by `(at, seq)`:
+//!
+//! - the **near tier**, a `Vec` sorted descending so the smallest key
+//!   sits at the tail, where [`EventQueue::pop`] takes it in O(1);
+//! - the **far tier**, a binary heap holding everything else.
+//!
+//! A simulator schedules almost every event just after "now" (the next
+//! CPU step, a submit's retirement, an engine completion), into an
+//! order that is already nearly sorted. A heap pays O(log n) sift
+//! levels for each of those; the near tier pays a short scan from its
+//! tail instead. Which tier a key lands in affects only cost, never
+//! order: `pop` and `peek_time` take the smaller `(at, seq)` of the two
+//! tiers' tops, and `seq` is unique, so the pop order is exactly the
+//! heap's.
+//!
+//! - **schedule** writes one slab slot, then first compares the new key
+//!   with the key `W` places from the near tier's tail (`W` = 8). A
+//!   larger key goes to the heap — amortized O(log n). A smaller one is
+//!   inserted by a scan from the tail. The early check bounds the
+//!   worst case at `W` comparisons and `W - 1` shifted keys, however
+//!   deep either tier is.
 //! - **cancel** is O(1): bump the slot's generation and reclaim it. The
-//!   stale heap key is tombstoned implicitly — its generation no longer
-//!   matches — and is discarded when it surfaces.
-//! - **pop** drains stale tombstone keys lazily as they reach the top.
-//! - **peek_time** drains stale tops the same way, making it O(1) when
-//!   the top is live and amortized O(log n) overall (the previous
-//!   design scanned the *entire* heap on every peek).
+//!   stale key, in either tier, is tombstoned implicitly — its
+//!   generation no longer matches — and is discarded when it surfaces.
+//! - **pop** drains stale tombstone keys lazily as they reach either
+//!   top.
+//! - **peek_time** drains stale tops of both tiers the same way, making
+//!   it O(1) when both tops are live and amortized O(log n) overall.
 //!
 //! Cancellation tokens encode `(generation << 32) | slot`; a token
 //! becomes stale the moment its event fires or is cancelled, and a
@@ -46,7 +64,7 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Heap key: ordered by `(at, seq)` — `seq` is unique, so the slot and
+/// Queue key: ordered by `(at, seq)` — `seq` is unique, so the slot and
 /// generation fields never influence the order; they exist to find and
 /// validate the payload without a lookup table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -57,9 +75,16 @@ struct Key {
     gen: u32,
 }
 
-/// One slab slot. A slot is *live* while a heap key carrying its
-/// current generation exists; vacating the slot (pop or cancel) bumps
-/// the generation, which simultaneously invalidates the old heap key
+/// How far from the near tier's tail a new key may land: `schedule`
+/// compares against the key this many places from the tail, and a key
+/// that sorts after it goes to the heap. Small on purpose: the scan
+/// and the shift are linear in it, and the events a simulator
+/// schedules just after "now" land within the last few places.
+const NEAR_WINDOW: usize = 8;
+
+/// One slab slot. A slot is *live* while a key carrying its current
+/// generation exists in either tier; vacating the slot (pop or cancel)
+/// bumps the generation, which simultaneously invalidates the old key
 /// and any outstanding cancellation token.
 #[derive(Debug)]
 struct Slot<E> {
@@ -84,6 +109,9 @@ struct Slot<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Near tier, sorted descending: the smallest key is at the tail.
+    near: Vec<Key>,
+    /// Far tier.
     heap: BinaryHeap<Reverse<Key>>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
@@ -96,6 +124,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            near: Vec::new(),
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -139,13 +168,44 @@ impl<E> EventQueue<E> {
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.heap.push(Reverse(Key { at, seq, slot, gen }));
+        self.insert_key(Key { at, seq, slot, gen });
         self.live += 1;
         ((gen as u64) << 32) | slot as u64
     }
 
+    /// Files `key` in the near tier if it sorts within [`NEAR_WINDOW`]
+    /// places of the tail, else in the heap: at most `NEAR_WINDOW`
+    /// comparisons and at most `NEAR_WINDOW - 1` keys shifted.
+    fn insert_key(&mut self, key: Key) {
+        let n = self.near.len();
+        // The key lands at or above `lo`; below it the tier is known to
+        // sort after `key`.
+        let mut lo = 0;
+        if n >= NEAR_WINDOW {
+            lo = n + 1 - NEAR_WINDOW;
+            if key > self.near[lo - 1] {
+                self.heap.push(Reverse(key));
+                return;
+            }
+        }
+        let mut at = n;
+        while at > lo && self.near[at - 1] < key {
+            at -= 1;
+        }
+        self.near.insert(at, key);
+    }
+
+    /// Removes the smaller of the two tiers' top keys, live or stale.
+    fn take_min(&mut self) -> Option<Key> {
+        match (self.near.last(), self.heap.peek()) {
+            (Some(near), Some(Reverse(far))) if far < near => self.heap.pop().map(|r| r.0),
+            (Some(_), _) => self.near.pop(),
+            (None, _) => self.heap.pop().map(|r| r.0),
+        }
+    }
+
     /// Cancels a previously scheduled event. Returns the payload if the
-    /// event had not yet fired or been cancelled. O(1): the heap is not
+    /// event had not yet fired or been cancelled. O(1): neither tier is
     /// touched; the stale key is discarded lazily when it surfaces.
     pub fn cancel(&mut self, token: u64) -> Option<E> {
         let slot = (token & u32::MAX as u64) as usize;
@@ -171,7 +231,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the next event in (time, schedule-order).
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(key)) = self.heap.pop() {
+        while let Some(key) = self.take_min() {
             let slot = &mut self.slots[key.slot as usize];
             if slot.gen != key.gen {
                 continue; // cancelled: discard the stale key
@@ -190,18 +250,28 @@ impl<E> EventQueue<E> {
     }
 
     /// The firing time of the next live event, if any. Stale
-    /// (cancelled) keys sitting atop the heap are drained as a side
+    /// (cancelled) keys sitting atop either tier are drained as a side
     /// effect, so repeated peeks stay cheap even after mass
     /// cancellation — each stale key is paid for exactly once, here or
     /// in [`EventQueue::pop`].
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(key) = self.near.last() {
+            if self.slots[key.slot as usize].gen == key.gen {
+                break;
+            }
+            self.near.pop();
+        }
         while let Some(Reverse(key)) = self.heap.peek() {
             if self.slots[key.slot as usize].gen == key.gen {
-                return Some(key.at);
+                break;
             }
             self.heap.pop();
         }
-        None
+        match (self.near.last(), self.heap.peek()) {
+            (Some(near), Some(Reverse(far))) => Some(near.min(far).at),
+            (Some(near), None) => Some(near.at),
+            (None, far) => far.map(|r| r.0.at),
+        }
     }
 
     /// Number of live (not cancelled, not yet fired) events.
@@ -219,8 +289,8 @@ impl<E> EventQueue<E> {
         self.last_popped
     }
 
-    /// Empties the queue while keeping the slab, free list, and heap
-    /// allocations, so a long-lived queue can be recycled across
+    /// Empties the queue while keeping the slab, free list, and both
+    /// tiers' allocations, so a long-lived queue can be recycled across
     /// simulation runs without touching the allocator.
     ///
     /// A cleared queue is observationally identical to a fresh one:
@@ -231,6 +301,7 @@ impl<E> EventQueue<E> {
     /// influence event order — only `(at, seq)` does — so reuse cannot
     /// perturb determinism.) All outstanding cancellation tokens die.
     pub fn clear(&mut self) {
+        self.near.clear();
         self.heap.clear();
         for slot in &mut self.slots {
             if slot.payload.take().is_some() {
@@ -337,13 +408,69 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(t(1_000_000)));
         // The stale keys were drained by the peek, not merely skipped:
-        // the heap now holds exactly the one live entry, so further
+        // the first NEAR_WINDOW keys filled the near tier and are gone,
+        // and the heap holds exactly the one live entry, so further
         // peeks and the final pop are O(1).
+        assert!(q.near.is_empty());
         assert_eq!(q.heap.len(), 1);
         assert_eq!(q.peek_time(), Some(t(1_000_000)));
         assert_eq!(q.pop(), Some((t(1_000_000), 42)));
         assert_eq!(q.peek_time(), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn schedule_files_keys_within_the_window_near_and_the_rest_far() {
+        let mut q = EventQueue::new();
+        // Descending times: every key is the new minimum and lands at
+        // the near tier's tail, so the tier grows past the window.
+        for i in (0..32u64).rev() {
+            q.schedule(t(100 + i), i);
+        }
+        assert_eq!(q.near.len(), 32);
+        assert!(q.heap.is_empty());
+        let w = NEAR_WINDOW as u64;
+        // Sorts after the key NEAR_WINDOW places from the tail (equal
+        // time, later seq): the heap takes it.
+        q.schedule(t(100 + w - 1), 100);
+        assert_eq!((q.near.len(), q.heap.len()), (32, 1));
+        // Sorts just before that key: the deepest near-tier slot a
+        // schedule may reach, NEAR_WINDOW - 1 keys shifted.
+        q.schedule(t(100 + w - 2), 101);
+        assert_eq!((q.near.len(), q.heap.len()), (33, 1));
+        assert_eq!(q.near[33 - NEAR_WINDOW].seq, 33);
+        assert!(q.near.windows(2).all(|w| w[0] > w[1]), "near tier unsorted");
+        // Both tiers drain as one (time, seq) order.
+        let mut popped = Vec::new();
+        while let Some((at, v)) = q.pop() {
+            popped.push((at, v));
+        }
+        let mut expected: Vec<(SimTime, u64)> = (0..32).map(|i| (t(100 + i), i)).collect();
+        expected.insert(w as usize - 1, (t(100 + w - 2), 101));
+        expected.insert(w as usize + 1, (t(100 + w - 1), 100));
+        assert_eq!(popped, expected);
+    }
+
+    #[test]
+    fn peek_time_drains_stale_tops_of_both_tiers() {
+        let mut q = EventQueue::new();
+        let near: Vec<u64> = (0..NEAR_WINDOW as u64)
+            .map(|i| q.schedule(t(i), i))
+            .collect();
+        let far: Vec<u64> = (0..16u64).map(|i| q.schedule(t(50 + i), i)).collect();
+        q.schedule(t(1_000), 99);
+        assert_eq!((q.near.len(), q.heap.len()), (NEAR_WINDOW, 17));
+        for tok in near {
+            q.cancel(tok);
+        }
+        assert_eq!(q.peek_time(), Some(t(50)), "near tier fully cancelled");
+        assert!(q.near.is_empty());
+        for tok in far {
+            q.cancel(tok);
+        }
+        assert_eq!(q.peek_time(), Some(t(1_000)), "heap tops cancelled");
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.pop(), Some((t(1_000), 99)));
     }
 
     #[test]

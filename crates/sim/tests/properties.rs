@@ -63,6 +63,10 @@ impl<E> ModelQueue<E> {
     fn now(&self) -> SimTime {
         self.last_popped
     }
+
+    fn clear(&mut self) {
+        *self = ModelQueue::new();
+    }
 }
 
 fn fnv1a(hash: &mut u64, v: u64) {
@@ -232,6 +236,99 @@ proptest! {
             prop_assert_eq!(q.is_empty(), model.payloads.is_empty());
         }
         // Drain: the tails must agree event for event.
+        loop {
+            let (a, b) = (q.pop(), model.pop());
+            prop_assert_eq!(&a, &b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// The same contract, under programs shaped to cross the queue's
+    /// near-tier/heap boundary: bursts of equal-time events, 0–3 ns
+    /// deltas mixed with far-future events, depths well above the near
+    /// tier's window, cancels aimed at the soonest events (near tier)
+    /// and at the far-future ones (heap), mass cancellations of either
+    /// followed by `peek_time`, and `clear()` mid-program.
+    #[test]
+    fn two_tier_queue_matches_reference_model(
+        ops in proptest::collection::vec((0u8..16, 0u64..1_000, 0u64..10_000), 1..600),
+    ) {
+        const FAR_NS: u64 = 1_000_000;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: ModelQueue<u64> = ModelQueue::new();
+        // (production token, model token, firing time) per schedule.
+        let mut pending: Vec<(u64, u64, SimTime)> = Vec::new();
+        let mut step = 0u64;
+        let mut schedule = |q: &mut EventQueue<u64>,
+                            model: &mut ModelQueue<u64>,
+                            pending: &mut Vec<(u64, u64, SimTime)>,
+                            at: SimTime| {
+            step += 1;
+            pending.push((q.schedule(at, step), model.schedule(at, step), at));
+        };
+        for &(op, offset, pick) in &ops {
+            match op {
+                // Near "now": 0–3 ns ahead.
+                0..=3 => {
+                    let at = q.now() + SimDuration::from_nanos(offset % 4);
+                    schedule(&mut q, &mut model, &mut pending, at);
+                }
+                // A burst of up to 24 equal-time events, deeper than
+                // the near tier's window.
+                4 => {
+                    let at = q.now() + SimDuration::from_nanos(offset % 4);
+                    for _ in 0..=pick % 24 {
+                        schedule(&mut q, &mut model, &mut pending, at);
+                    }
+                }
+                // Far future.
+                5 | 6 => {
+                    let at = q.now() + SimDuration::from_nanos(FAR_NS + offset * 1_000 + pick);
+                    schedule(&mut q, &mut model, &mut pending, at);
+                }
+                7 => {
+                    let at = q.now() + SimDuration::from_nanos(offset);
+                    schedule(&mut q, &mut model, &mut pending, at);
+                }
+                8 | 9 => {
+                    if !pending.is_empty() {
+                        let (a, b, _) = pending.swap_remove(pick as usize % pending.len());
+                        prop_assert_eq!(q.cancel(a), model.cancel(b), "cancel outcomes diverged");
+                    }
+                }
+                // Mass cancellation of the soonest events, then of the
+                // far-future ones; each followed by a peek.
+                10 | 11 => {
+                    let cut = q.now() + SimDuration::from_nanos(3);
+                    let far = q.now() + SimDuration::from_nanos(FAR_NS);
+                    let hit = |at: SimTime| if op == 10 { at <= cut } else { at >= far };
+                    for &(a, b, _) in pending.iter().filter(|e| hit(e.2)) {
+                        prop_assert_eq!(q.cancel(a), model.cancel(b), "mass cancel diverged");
+                    }
+                    pending.retain(|e| !hit(e.2));
+                    prop_assert_eq!(q.peek_time(), model.peek_time(), "peek after mass cancel");
+                }
+                12 => {
+                    if pick % 4 == 0 {
+                        q.clear();
+                        model.clear();
+                        pending.clear();
+                    } else {
+                        prop_assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
+                    }
+                }
+                _ => {
+                    for _ in 0..=pick % 3 {
+                        prop_assert_eq!(q.pop(), model.pop(), "pop diverged");
+                        prop_assert_eq!(q.now(), model.now());
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), model.payloads.len());
+            prop_assert_eq!(q.is_empty(), model.payloads.is_empty());
+        }
         loop {
             let (a, b) = (q.pop(), model.pop());
             prop_assert_eq!(&a, &b, "drain diverged");

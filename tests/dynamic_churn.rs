@@ -205,8 +205,13 @@ fn churn_sweep_spec(seeds: Vec<u64>) -> ScenarioSpec {
         )
 }
 
+/// The parallel runner must reproduce the serial sweep cell for cell
+/// and fan out on a multicore host. Whether the fan-out pays is a
+/// wall-clock claim, which sibling tests competing for the cores make
+/// flaky here; the `speedup@2 >= 1.5` floor over `neon bench` gates it
+/// in CI instead.
 #[test]
-fn parallel_sweep_matches_serial_and_scales_when_cores_exist() {
+fn parallel_sweep_matches_serial_and_fans_out_when_cores_exist() {
     // 4 schedulers × 2 seeds = 8 cells, the acceptance-criterion size.
     let cells = sweep::plan([churn_sweep_spec(vec![1, 2])]);
     assert!(cells.len() >= 8);
@@ -226,14 +231,8 @@ fn parallel_sweep_matches_serial_and_scales_when_cores_exist() {
         .unwrap_or(1);
     if cores >= 2 {
         assert!(parallel.threads >= 2, "should fan out on a multicore box");
-        assert!(
-            parallel.wall < serial.wall,
-            "parallel sweep ({:?}) not faster than serial ({:?}) on {cores} cores",
-            parallel.wall,
-            serial.wall
-        );
     } else {
-        eprintln!("single-core machine: speedup assertion skipped (equality still verified)");
+        eprintln!("single-core machine: fan-out assertion skipped (equality still verified)");
     }
 }
 

@@ -4,10 +4,13 @@
 //! block must agree with the legacy counters it mirrors.
 
 use disengaged_scheduling::core::cost::SchedParams;
+use disengaged_scheduling::core::fault::{FaultConfig, FaultKind, FaultPlan};
+use disengaged_scheduling::core::fleet::{Fleet, FleetPlacementKind, FleetRebalanceKind};
 use disengaged_scheduling::core::rebalance::RebalanceKind;
 use disengaged_scheduling::core::telemetry::{labels, MetricsMode, StatKey};
 use disengaged_scheduling::core::world::{World, WorldConfig};
-use disengaged_scheduling::core::SchedulerKind;
+use disengaged_scheduling::core::{GroupReport, RunReport, SchedulerKind, TaskReport};
+use disengaged_scheduling::gpu::ClusterInterconnect;
 use disengaged_scheduling::metrics::{CounterKey, Distribution, StreamingHistogram};
 use disengaged_scheduling::workloads::Throttle;
 use neon_sim::{SimDuration, SimTime};
@@ -272,4 +275,122 @@ fn emitted_trace_labels_are_canonical() {
             );
         }
     }
+}
+
+/// Asserts that every group equals the lossless merge of its members'
+/// per-task histograms, and that its member count is the number of
+/// tasks that carry its name.
+fn assert_groups_merge_their_members(groups: &[GroupReport], tasks: &[TaskReport], what: &str) {
+    assert!(!groups.is_empty(), "{what}: streaming mode keeps groups");
+    for g in groups {
+        let members: Vec<&TaskReport> = tasks.iter().filter(|t| t.name == g.name).collect();
+        assert_eq!(
+            g.members as usize,
+            members.len(),
+            "{what}/{}: members",
+            g.name
+        );
+        let merged = |hist: fn(&TaskReport) -> &StreamingHistogram| {
+            let mut m = StreamingHistogram::new();
+            for t in &members {
+                m.merge(hist(t));
+            }
+            m
+        };
+        assert_eq!(
+            g.rounds,
+            merged(|t| &t.rounds_hist),
+            "{what}/{}: rounds",
+            g.name
+        );
+        assert_eq!(
+            g.service,
+            merged(|t| &t.service_hist),
+            "{what}/{}: service",
+            g.name
+        );
+        assert_eq!(
+            g.interarrival,
+            merged(|t| &t.interarrival_hist),
+            "{what}/{}: interarrival",
+            g.name
+        );
+    }
+}
+
+/// Streaming config with a watchdog and one hung task: the watchdog
+/// kills the hung task and requeues its workload as a fresh admission.
+fn hang_and_requeue_config(seed: u64) -> WorldConfig {
+    let mut plan = FaultPlan::new(FaultConfig {
+        watchdog: Some(ms(2)),
+        ..FaultConfig::default()
+    });
+    plan.push(SimTime::ZERO + ms(5), FaultKind::TaskHang { task: None });
+    WorldConfig {
+        seed,
+        metrics: MetricsMode::Streaming,
+        faults: Some(plan),
+        ..WorldConfig::default()
+    }
+}
+
+/// The killed, departed and still-resident tasks all fed samples, so
+/// the group check covers every way a member can leave the run.
+fn assert_covers_departed_and_killed(report: &RunReport, what: &str) {
+    let fed = |t: &&TaskReport| t.rounds_hist.count() > 0 && t.service_hist.count() > 0;
+    assert!(
+        report.tasks.iter().filter(fed).any(|t| t.killed),
+        "{what}: a killed task with samples"
+    );
+    assert!(
+        report
+            .tasks
+            .iter()
+            .filter(fed)
+            .any(|t| !t.killed && t.finished_at.is_some()),
+        "{what}: a departed task with samples"
+    );
+}
+
+#[test]
+fn group_reports_equal_the_merge_of_their_members() {
+    for kind in [SchedulerKind::Direct, SchedulerKind::DisengagedFairQueueing] {
+        let report = churn_world(kind, hang_and_requeue_config(0x90_1D)).run(ms(200));
+        assert_eq!(report.watchdog_kills, 1, "{kind}");
+        assert_covers_departed_and_killed(&report, &format!("{kind}"));
+        assert_groups_merge_their_members(&report.groups, &report.tasks, &format!("{kind}"));
+    }
+
+    let host = |seed: u64| {
+        World::new(
+            hang_and_requeue_config(seed),
+            SchedulerKind::DisengagedFairQueueing.build(SchedParams::default()),
+        )
+    };
+    let mut fleet = Fleet::new(
+        vec![host(1), host(2)],
+        FleetPlacementKind::RoundRobin.build(),
+        FleetRebalanceKind::Off.build(),
+        ClusterInterconnect::free(),
+    );
+    for _ in 0..4 {
+        fleet.add_task(Box::new(Throttle::new(us(150)))).unwrap();
+    }
+    for (at, lifetime) in [(20, 40), (30, 50)] {
+        fleet.spawn_task_for(
+            SimTime::ZERO + ms(at),
+            Box::new(Throttle::new(us(900))),
+            ms(lifetime),
+        );
+    }
+    let report = fleet.run(ms(200));
+    assert_eq!(report.hosts.len(), 2);
+    for (h, host) in report.hosts.iter().enumerate() {
+        assert_eq!(host.watchdog_kills, 1, "host {h}");
+        assert_covers_departed_and_killed(host, &format!("host {h}"));
+        assert_groups_merge_their_members(&host.groups, &host.tasks, &format!("host {h}"));
+    }
+    // The fleet-level groups merge across hosts the same way.
+    let tasks: Vec<TaskReport> = report.hosts.iter().flat_map(|h| h.tasks.clone()).collect();
+    assert_groups_merge_their_members(&report.groups, &tasks, "fleet");
 }
