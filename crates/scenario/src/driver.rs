@@ -1221,6 +1221,101 @@ mod tests {
         }
     }
 
+    /// Everything a cell produces except its host-time fields.
+    fn sim_row(r: &CellResult) -> String {
+        let mut summary = r.summary.clone();
+        summary.elapsed = std::time::Duration::ZERO;
+        summary.peak_rss_bytes = None;
+        format!(
+            "{summary:?}\n{:?}\n{:?}\n{:?}",
+            r.report, r.fleet, r.trace_jsonl
+        )
+    }
+
+    #[test]
+    fn a_recycled_runner_matches_fresh_cells_across_shapes() {
+        let example = |text: &str| crate::toml::from_toml(text, "example").unwrap();
+        let pinned = ScenarioSpec::new("pinned", SimDuration::from_millis(40))
+            .devices(2)
+            .group(
+                TenantGroup::new(
+                    "left",
+                    WorkloadSpec::FixedLoop {
+                        service: us(100),
+                        gap: us(5),
+                        rounds: None,
+                    },
+                )
+                .count(2)
+                .device(0)
+                .params(SchedParams {
+                    sampling_requests: 96,
+                    ..SchedParams::default()
+                }),
+            )
+            .group(
+                TenantGroup::new(
+                    "right",
+                    WorkloadSpec::Throttle {
+                        request: us(200),
+                        off_ratio: 0.0,
+                        jitter: 0.0,
+                    },
+                )
+                .count(2)
+                .device(1)
+                .arrival(ArrivalSpec::Staggered {
+                    gap: SimDuration::from_millis(3),
+                }),
+            );
+        let hetero = example(include_str!("../../../examples/scenarios/hetero_gpu.toml"));
+        let faulty = example(include_str!("../../../examples/scenarios/faulty_rack.toml"));
+        let churn = churn_spec();
+        let fleet = churn_spec().hosts(2);
+        let (ll, off, none) = (
+            PlacementKind::LeastLoaded,
+            RebalanceKind::Off,
+            FaultMode::None,
+        );
+        // In order: one device, two devices with pins and per-group
+        // params, a rebalancing topology, a fault schedule, a fleet,
+        // and a single host again after the fleet.
+        let plan = [
+            (&churn, ll, off, none, 7),
+            (&pinned, ll, off, none, 1),
+            (
+                &hetero,
+                PlacementKind::CostMin,
+                RebalanceKind::CostAware,
+                none,
+                33,
+            ),
+            (&faulty, ll, off, FaultMode::All, 7),
+            (&fleet, ll, off, none, 7),
+            (&churn, ll, off, none, 8),
+        ];
+        let mut runner = CellRunner::new();
+        for (spec, placement, rebalance, faults, seed) in plan {
+            spec.validate().unwrap();
+            let cell = (
+                SchedulerKind::DisengagedFairQueueing,
+                placement,
+                FleetPlacementKind::LeastLoaded,
+                rebalance,
+                faults,
+                seed,
+            );
+            let recycled = runner.run(spec, cell.0, cell.1, cell.2, cell.3, cell.4, cell.5);
+            let fresh = run_cell(spec, cell.0, cell.1, cell.2, cell.3, cell.4, cell.5);
+            assert_eq!(
+                sim_row(&recycled),
+                sim_row(&fresh),
+                "{} diverged after recycling",
+                spec.name
+            );
+        }
+    }
+
     #[test]
     fn fleet_cells_run_per_host_and_stay_deterministic() {
         let spec = churn_spec().hosts(2);
