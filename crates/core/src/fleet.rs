@@ -36,8 +36,9 @@
 //!    (in deterministic record order) and run to the horizon; the
 //!    per-host [`RunReport`]s are merged into a [`FleetReport`], with
 //!    per-group telemetry combined losslessly via the mergeable
-//!    [`StreamingHistogram`] sketches — a million-tenant-round fleet
-//!    run stays in bounded memory under
+//!    [`StreamingHistogram`](neon_metrics::StreamingHistogram)
+//!    sketches — a million-tenant-round fleet run stays in bounded
+//!    memory under
 //!    [`MetricsMode::Streaming`](crate::telemetry::MetricsMode).
 //!
 //! The ledger tracks planned context/channel occupancy, not workload
@@ -55,7 +56,7 @@
 //! byte-identical to a bare `World` for every scheduler × placement.
 
 use neon_gpu::{ClusterInterconnect, GpuError, TaskId};
-use neon_metrics::{Distribution, StreamingHistogram};
+use neon_metrics::Distribution;
 use neon_sim::{SimDuration, SimTime};
 
 use crate::fault::{FaultKind, FaultPlan};
@@ -496,7 +497,7 @@ pub struct FleetReport {
     pub hosts: Vec<RunReport>,
     /// Per-workload-name telemetry merged across hosts (streaming mode
     /// only; empty in exact mode), via lossless
-    /// [`StreamingHistogram::merge`].
+    /// [`StreamingHistogram::merge`](neon_metrics::StreamingHistogram::merge).
     pub groups: Vec<GroupReport>,
     /// Tenants the fleet moved between hosts.
     pub cross_host_migrations: u64,
@@ -550,35 +551,16 @@ impl FleetReport {
 
     /// Every task's round durations across the fleet as one queryable
     /// [`Distribution`], whichever metrics mode produced the run
-    /// (mirrors [`RunReport::round_distribution`]).
+    /// (see [`crate::report::round_distribution`]).
     pub fn round_distribution(&self) -> Box<dyn Distribution> {
-        if self
-            .hosts
-            .iter()
-            .any(|h| h.tasks.iter().any(|t| !t.rounds.is_empty()))
-        {
-            let mut all: Vec<SimDuration> = Vec::new();
-            for h in &self.hosts {
-                for t in &h.tasks {
-                    all.extend_from_slice(&t.rounds);
-                }
-            }
-            Box::new(neon_metrics::Summary::of(&all))
-        } else {
-            let mut merged = StreamingHistogram::new();
-            for h in &self.hosts {
-                for t in &h.tasks {
-                    merged.merge(&t.rounds_hist);
-                }
-            }
-            Box::new(merged)
-        }
+        crate::report::round_distribution(self.hosts.iter().flat_map(|h| &h.tasks))
     }
 }
 
 /// Merges per-host [`GroupReport`]s by workload name, in
 /// first-appearance order across hosts. Lossless: the underlying
-/// [`StreamingHistogram`] buckets add bucket-wise.
+/// [`StreamingHistogram`](neon_metrics::StreamingHistogram) buckets
+/// add bucket-wise.
 pub fn merge_groups(hosts: &[RunReport]) -> Vec<GroupReport> {
     let mut merged: Vec<GroupReport> = Vec::new();
     for host in hosts {

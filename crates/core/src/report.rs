@@ -265,19 +265,29 @@ impl RunReport {
     /// per-task histograms otherwise. This is the single interface
     /// report consumers use for percentiles.
     pub fn round_distribution(&self) -> Box<dyn Distribution> {
-        if self.tasks.iter().any(|t| !t.rounds.is_empty()) {
-            let mut all: Vec<SimDuration> = Vec::new();
-            for t in &self.tasks {
-                all.extend_from_slice(&t.rounds);
-            }
-            Box::new(neon_metrics::Summary::of(&all))
-        } else {
-            let mut merged = StreamingHistogram::new();
-            for t in &self.tasks {
-                merged.merge(&t.rounds_hist);
-            }
-            Box::new(merged)
+        round_distribution(self.tasks.iter())
+    }
+}
+
+/// The round durations of `tasks` as one queryable [`Distribution`]:
+/// the exact per-task vectors when any are present (the oracle), the
+/// merged per-task histograms otherwise. The one implementation behind
+/// [`RunReport::round_distribution`] and its fleet-wide counterpart.
+pub fn round_distribution<'a>(
+    tasks: impl Iterator<Item = &'a TaskReport> + Clone,
+) -> Box<dyn Distribution> {
+    if tasks.clone().any(|t| !t.rounds.is_empty()) {
+        let mut all: Vec<SimDuration> = Vec::new();
+        for t in tasks {
+            all.extend_from_slice(&t.rounds);
         }
+        Box::new(neon_metrics::Summary::of(&all))
+    } else {
+        let mut merged = StreamingHistogram::new();
+        for t in tasks {
+            merged.merge(&t.rounds_hist);
+        }
+        Box::new(merged)
     }
 }
 

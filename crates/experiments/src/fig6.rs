@@ -17,12 +17,12 @@
 use neon_core::cost::SchedParams;
 use neon_core::sched::SchedulerKind;
 use neon_core::workload::BoxedWorkload;
-use neon_metrics::{fairness, Table};
+use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 use neon_workloads::{app, throttle};
 
-use crate::runner;
+use crate::{pairwise, runner};
 
 /// Configuration of the Figure 6 sweep.
 #[derive(Debug, Clone)]
@@ -197,32 +197,17 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         for (j, &size) in cfg.throttle_sizes.iter().enumerate() {
             for (k, &scheduler) in cfg.schedulers.iter().enumerate() {
                 let cell = mix_base + (i * cfg.throttle_sizes.len() + j) * per_pair + k;
-                let report = &outcome.results[cell].report;
-                // A starved co-runner (zero rounds) reads as an
-                // infinite slowdown, as in the serial harness.
-                let concurrent = |idx: usize| {
-                    report.tasks[idx]
-                        .mean_round(runner::WARMUP)
-                        .unwrap_or(SimDuration::ZERO)
-                };
-                let pairs = [
-                    (app_alone(i), concurrent(0)),
-                    (throttle_alone(j), concurrent(1)),
-                ];
-                let norm = |(alone, conc): (SimDuration, SimDuration)| {
-                    if conc.is_zero() {
-                        f64::INFINITY
-                    } else {
-                        fairness::slowdown(alone, conc)
-                    }
-                };
+                let (tasks, efficiency) = pairwise::score(
+                    &[app_alone(i), throttle_alone(j)],
+                    &outcome.results[cell].report,
+                );
                 rows.push(Row {
                     app: family.name(),
                     throttle_size: size,
                     scheduler,
-                    app_slowdown: norm(pairs[0]),
-                    throttle_slowdown: norm(pairs[1]),
-                    efficiency: fairness::concurrency_efficiency(&pairs),
+                    app_slowdown: tasks[0].slowdown,
+                    throttle_slowdown: tasks[1].slowdown,
+                    efficiency,
                 });
             }
         }

@@ -13,11 +13,11 @@
 //! exactly (equivalence-tested below).
 
 use neon_core::sched::SchedulerKind;
-use neon_metrics::{fairness, Table};
+use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
-use crate::runner;
+use crate::{pairwise, runner};
 
 /// Configuration of the Figure 8 run.
 #[derive(Debug, Clone)]
@@ -108,23 +108,12 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         .iter()
         .enumerate()
         .map(|(k, &scheduler)| {
-            let report = &outcome.results[members.len() + k].report;
-            let mut pairs = Vec::new();
-            let mut slowdowns = Vec::new();
-            for (i, t) in report.tasks.iter().enumerate() {
-                let concurrent = t.mean_round(runner::WARMUP).unwrap_or(SimDuration::ZERO);
-                let slowdown = if concurrent.is_zero() {
-                    f64::INFINITY
-                } else {
-                    fairness::slowdown(alone[i], concurrent)
-                };
-                pairs.push((alone[i], concurrent));
-                slowdowns.push((t.name.clone(), slowdown));
-            }
+            let (tasks, efficiency) =
+                pairwise::score(&alone, &outcome.results[members.len() + k].report);
             Row {
                 scheduler,
-                slowdowns,
-                efficiency: fairness::concurrency_efficiency(&pairs),
+                slowdowns: tasks.into_iter().map(|t| (t.name, t.slowdown)).collect(),
+                efficiency,
             }
         })
         .collect()

@@ -16,11 +16,11 @@
 //! below).
 
 use neon_core::sched::SchedulerKind;
-use neon_metrics::{fairness, Table};
+use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
-use crate::runner;
+use crate::{pairwise, runner};
 
 /// Configuration of the Figure 9/10 sweep.
 #[derive(Debug, Clone)]
@@ -125,31 +125,16 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     for (j, &off) in cfg.off_ratios.iter().enumerate() {
         for (k, &scheduler) in cfg.schedulers.iter().enumerate() {
-            let report = &outcome.results[mix_base + j * per_mix + k].report;
-            // A starved co-runner (zero rounds) reads as an infinite
-            // slowdown, as in the serial harness.
-            let concurrent = |idx: usize| {
-                report.tasks[idx]
-                    .mean_round(runner::WARMUP)
-                    .unwrap_or(SimDuration::ZERO)
-            };
-            let pairs = [
-                (dct_alone, concurrent(0)),
-                (throttle_alone(j), concurrent(1)),
-            ];
-            let norm = |(alone, conc): (SimDuration, SimDuration)| {
-                if conc.is_zero() {
-                    f64::INFINITY
-                } else {
-                    fairness::slowdown(alone, conc)
-                }
-            };
+            let (tasks, efficiency) = pairwise::score(
+                &[dct_alone, throttle_alone(j)],
+                &outcome.results[mix_base + j * per_mix + k].report,
+            );
             rows.push(Row {
                 off_ratio: off,
                 scheduler,
-                dct_slowdown: norm(pairs[0]),
-                throttle_slowdown: norm(pairs[1]),
-                efficiency: fairness::concurrency_efficiency(&pairs),
+                dct_slowdown: tasks[0].slowdown,
+                throttle_slowdown: tasks[1].slowdown,
+                efficiency,
             });
         }
     }

@@ -99,32 +99,44 @@ pub fn run_with_cache(cfg: &PairwiseConfig, cache: &mut runner::AloneCache) -> P
         spec = spec.with_params(params);
     }
     let report = runner::run_mix(&spec, cfg.workloads.clone());
-
-    let mut tasks = Vec::new();
-    let mut pairs = Vec::new();
-    for (i, t) in report.tasks.iter().enumerate() {
-        let concurrent = t.mean_round(runner::WARMUP).unwrap_or(SimDuration::ZERO);
-        let slowdown = if concurrent.is_zero() {
-            f64::INFINITY
-        } else {
-            fairness::slowdown(alone[i], concurrent)
-        };
-        pairs.push((alone[i], concurrent));
-        tasks.push(TaskOutcome {
-            name: t.name.clone(),
-            alone: alone[i],
-            concurrent,
-            slowdown,
-            usage: t.usage,
-            killed: t.killed,
-        });
-    }
-    let efficiency = fairness::concurrency_efficiency(&pairs);
+    let (tasks, efficiency) = score(&alone, &report);
     PairwiseResult {
         tasks,
         efficiency,
         report,
     }
+}
+
+/// Scores a mix against standalone baselines, where `alone[i]` is task
+/// `i`'s standalone mean round: one [`TaskOutcome`] per task that has a
+/// baseline, in admission order, and the mix's concurrency efficiency
+/// Σ(tᵢ/tᶜᵢ). A starved task (no completed round) reads as an
+/// infinite slowdown.
+pub fn score(alone: &[SimDuration], report: &RunReport) -> (Vec<TaskOutcome>, f64) {
+    let tasks: Vec<TaskOutcome> = report
+        .tasks
+        .iter()
+        .zip(alone)
+        .map(|(t, &alone)| {
+            let concurrent = t.mean_round(runner::WARMUP).unwrap_or(SimDuration::ZERO);
+            TaskOutcome {
+                name: t.name.clone(),
+                alone,
+                concurrent,
+                slowdown: if concurrent.is_zero() {
+                    f64::INFINITY
+                } else {
+                    fairness::slowdown(alone, concurrent)
+                },
+                usage: t.usage,
+                killed: t.killed,
+            }
+        })
+        .collect();
+    let pairs: Vec<(SimDuration, SimDuration)> =
+        tasks.iter().map(|t| (t.alone, t.concurrent)).collect();
+    let efficiency = fairness::concurrency_efficiency(&pairs);
+    (tasks, efficiency)
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ use neon_core::fleet::FleetPlacementKind;
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::telemetry::MetricsMode;
-use neon_scenario::{emit, parse_duration, sweep, toml_file, ScenarioSpec};
+use neon_scenario::{emit, parse_duration, sweep, toml_file, CellResult, ScenarioSpec};
 use neon_sim::SimDuration;
 
 struct Options {
@@ -322,9 +322,10 @@ fn load_specs(opts: &Options) -> Result<Vec<ScenarioSpec>, String> {
                 || opts.fleet_placements.is_some()
                 || opts.rebalances.is_some()
                 || opts.faults.is_some()
+                || opts.trace_out.is_some()
             {
                 // Re-check: an override can invalidate pins or
-                // pinned placements.
+                // pinned placements, and trace capture needs one host.
                 spec.validate()
                     .map_err(|e| format!("{}: after overrides: {e}", f.display()))?;
             }
@@ -493,16 +494,7 @@ fn cmd_bench(opts: &Options) -> ExitCode {
     eprintln!("benchmarking {} cells: serial first...", cells.len());
     let serial = sweep::run_serial(&cells);
     eprintln!("  serial:     {:>9.1} ms", serial.wall.as_secs_f64() * 1e3);
-    // A fleet cell's `report` is host 0's: count every host.
-    let events: u64 = serial
-        .results
-        .iter()
-        .map(|r| {
-            r.fleet
-                .as_ref()
-                .map_or(r.report.events, |f| f.hosts.iter().map(|h| h.events).sum())
-        })
-        .sum();
+    let events: u64 = serial.results.iter().map(CellResult::events).sum();
     // One parallel run per requested thread count (default: one run
     // at the host's available parallelism). Progress goes to stderr;
     // stdout carries only the JSON document (when no --out is given),

@@ -1,13 +1,27 @@
 //! Executes one scenario cell: a (scenario, scheduler, placement,
-//! fleet placement, rebalance, seed) tuple.
+//! fleet placement, rebalance, fault mode, seed) tuple.
 //!
-//! The driver expands every tenant group into concrete arrival
-//! instants and lifetimes (deterministically, from the cell's seed),
-//! stages them on a [`World`] — single- or multi-device, per the
-//! spec's `devices` — or, when the spec asks for `hosts > 1`, on a
-//! [`Fleet`] of worlds behind cluster-level placement — runs to the
-//! horizon, and condenses the [`RunReport`] (or [`FleetReport`]) into
-//! a [`CellSummary`] suitable for tables and JSON.
+//! Every cell takes one path over its host list,
+//! [`ScenarioSpec::host_device_counts`]:
+//!
+//! 1. **Build** one [`World`] per host with `host_world`. A
+//!    single-host cell is the one-entry case: its world is the
+//!    [`CellRunner`]'s recycled one, [`World::reset`] in place, and its
+//!    topology and per-device params come from the spec. Fleet hosts
+//!    are built fresh and wrapped in a [`Fleet`] behind cluster-level
+//!    placement.
+//! 2. **Stage** the tenant groups with `stage`, which expands each
+//!    group into arrival instants and lifetimes (deterministically,
+//!    from the cell's seed) and hands every member to its target: the
+//!    `World` directly (pins allowed), or the `Fleet` as a migratable
+//!    factory its rebalance policy can move across hosts.
+//! 3. **Run** to the horizon and **summarize** the per-host
+//!    [`RunReport`]s, plus the [`FleetReport`]'s cluster counters when
+//!    there is a fleet, into a [`CellSummary`] for tables and JSON.
+//!
+//! A single host never wraps its world in a 1-host `Fleet`: the
+//! recycled world would be lost, every member would pay a boxed
+//! factory, and the cell would report a fleet it never needed.
 //!
 //! Arrival and lifetime draws depend only on (seed, group index,
 //! member index) — never on the scheduler, placement policy, or host
@@ -15,14 +29,16 @@
 
 use std::time::Instant;
 
-use neon_core::fault::{FaultMode, FaultPlan};
+use neon_core::fault::FaultMode;
 use neon_core::fleet::{Fleet, FleetPlacementKind, FleetReport, WorkloadFactory};
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
+use neon_core::report::round_distribution;
 use neon_core::sched::SchedulerKind;
+use neon_core::workload::BoxedWorkload;
 use neon_core::world::{World, WorldConfig};
 use neon_core::RunReport;
-use neon_gpu::{DeviceId, DeviceSlotSpec, GpuConfig, Topology};
+use neon_gpu::{DeviceId, GpuConfig};
 use neon_metrics::jain_index;
 use neon_sim::{DetRng, SimDuration, SimTime};
 
@@ -226,6 +242,16 @@ pub struct CellResult {
     pub fleet: Option<FleetReport>,
 }
 
+impl CellResult {
+    /// Simulated events of the cell, summed over every host (a fleet
+    /// cell's [`CellResult::report`] is host 0's alone).
+    pub fn events(&self) -> u64 {
+        self.fleet.as_ref().map_or(self.report.events, |f| {
+            f.hosts.iter().map(|h| h.events).sum()
+        })
+    }
+}
+
 /// A uniform draw in `(0, 1]`, for inverse-transform sampling.
 fn unit_open(rng: &mut DetRng) -> f64 {
     let u = (rng.raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -269,8 +295,8 @@ fn lifetime(group: &TenantGroup, rng: &mut DetRng) -> Option<SimDuration> {
 }
 
 /// Nearest-rank percentile of a sorted sample (`q` in percent). The
-/// summary path now goes through [`RunReport::round_distribution`];
-/// this stays as the tests' independent oracle.
+/// summary path goes through [`round_distribution`]; this stays as the
+/// tests' independent oracle.
 #[cfg(test)]
 fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
     if sorted.is_empty() {
@@ -280,109 +306,149 @@ fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The scenario's fault plan filtered to `faults`, or `None` when the
-/// mode (or the plan) injects nothing — keeping fault-free cells on
-/// the exact pre-fault code path.
-fn cell_fault_plan(spec: &ScenarioSpec, faults: FaultMode) -> Option<FaultPlan> {
-    if faults == FaultMode::None {
-        return None;
-    }
-    Some(spec.fault_plan().filtered(faults).world_plan())
-}
-
-/// The [`WorldConfig`] a cell's world runs under.
-fn cell_config(
-    spec: &ScenarioSpec,
+/// The six sweep-axis values of one cell, travelling together.
+#[derive(Debug, Clone, Copy)]
+struct Axes {
+    scheduler: SchedulerKind,
+    placement: PlacementKind,
+    fleet_placement: FleetPlacementKind,
     rebalance: RebalanceKind,
     faults: FaultMode,
     seed: u64,
-    device_params: &[neon_core::cost::SchedParams],
-) -> WorldConfig {
-    let topology = spec.topology();
-    WorldConfig {
-        faults: cell_fault_plan(spec, faults),
-        devices: if topology.is_none() && spec.devices > 1 {
-            vec![neon_gpu::GpuConfig::default(); spec.devices]
+}
+
+/// Builds one host's world with `devices` devices for `cell`, or
+/// resets `recycled` into it (the same world either way). The world
+/// takes the cell's fault plan, which is `None` when the mode (or the
+/// scenario) injects nothing, keeping fault-free cells on the exact
+/// pre-fault code path.
+fn host_world(spec: &ScenarioSpec, cell: Axes, devices: usize, recycled: Option<World>) -> World {
+    let topology = spec.topology(devices);
+    let device_params = spec.device_params(devices);
+    let config = WorldConfig {
+        faults: (cell.faults != FaultMode::None)
+            .then(|| spec.fault_plan().filtered(cell.faults).world_plan()),
+        devices: if topology.is_none() && devices > 1 {
+            vec![GpuConfig::default(); devices]
         } else {
             Vec::new()
         },
         topology,
         cost: spec.cost.clone().unwrap_or_default(),
         params: spec.params.clone().unwrap_or_default(),
-        device_params: device_params.to_vec(),
-        rebalance,
-        seed,
+        device_params: device_params.clone(),
+        rebalance: cell.rebalance,
+        seed: cell.seed,
         record_requests: spec.record_requests,
         metrics: spec.metrics,
         sample_every: spec.sample_every,
         ..WorldConfig::default()
+    };
+    // The per-device scheduler: the sweep axis policy, or the spec's
+    // custom factory when one is installed.
+    let scheduler = |dev: DeviceId| {
+        let params = device_params[dev.index()].clone();
+        match spec.custom_scheduler {
+            Some(factory) => factory.build(params),
+            None => cell.scheduler.build(params),
+        }
+    };
+    match recycled {
+        Some(mut world) => {
+            world.reset(config, cell.placement.build(), scheduler);
+            world
+        }
+        None => World::with_devices(config, cell.placement.build(), scheduler),
     }
 }
 
-/// The per-device scheduler a cell runs: the sweep axis policy, or the
-/// spec's custom factory when one is installed.
-fn cell_scheduler(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    device_params: &[neon_core::cost::SchedParams],
-    dev: DeviceId,
-) -> Box<dyn neon_core::sched::Scheduler> {
-    let params = device_params[dev.index()].clone();
-    match spec.custom_scheduler {
-        Some(factory) => factory.build(params),
-        None => scheduler.build(params),
+/// One tenant-group member's workload.
+fn member(group: &TenantGroup) -> BoxedWorkload {
+    group
+        .build_member()
+        // lint: allow(unchecked-unwrap) — spec.validate() ran before any
+        // workload build on this path
+        .expect("validated spec workloads must build")
+}
+
+/// Where the staging loop hands each member.
+trait Stage {
+    /// Admits a member present from time zero; `false` if refused.
+    fn admit(&mut self, group: &TenantGroup) -> bool;
+    /// Schedules a member's arrival at `at`, departing `stay` after
+    /// admission (`None`: at workload completion or the horizon).
+    fn spawn(&mut self, group: &TenantGroup, at: SimTime, stay: Option<SimDuration>);
+}
+
+/// A single host: members go straight onto the world, honoring pins.
+impl Stage for World {
+    fn admit(&mut self, group: &TenantGroup) -> bool {
+        match group.device {
+            Some(d) => self.add_task_pinned(member(group), DeviceId::new(d)),
+            None => self.add_task(member(group)),
+        }
+        .is_ok()
+    }
+
+    fn spawn(&mut self, group: &TenantGroup, at: SimTime, stay: Option<SimDuration>) {
+        let workload = member(group);
+        match (stay, group.device.map(DeviceId::new)) {
+            (Some(stay), Some(d)) => self.spawn_task_for_on(at, workload, stay, d),
+            (Some(stay), None) => self.spawn_task_for(at, workload, stay),
+            (None, Some(d)) => self.spawn_task_at_on(at, workload, d),
+            (None, None) => self.spawn_task_at(at, workload),
+        }
     }
 }
 
-/// Stages the spec's tenant groups on `world` and runs to the horizon.
-/// Returns the report plus the count of closed-loop members turned
-/// away before the run started.
-fn stage_and_run(world: &mut World, spec: &ScenarioSpec, seed: u64) -> (RunReport, u64) {
+/// A fleet (validation rules out pins): scheduled arrivals are staged
+/// migratable, as a factory rebuilding the member's workload, so the
+/// fleet rebalance policy can move them across hosts.
+impl Stage for Fleet {
+    fn admit(&mut self, group: &TenantGroup) -> bool {
+        self.add_task(member(group)).is_ok()
+    }
+
+    fn spawn(&mut self, group: &TenantGroup, at: SimTime, stay: Option<SimDuration>) {
+        let group = group.clone();
+        let factory: WorkloadFactory = Box::new(move || member(&group));
+        match stay {
+            Some(stay) => self.spawn_migratable_for(at, factory, stay),
+            None => self.spawn_migratable_at(at, factory),
+        }
+    }
+}
+
+/// Stages the spec's tenant groups on `target`. Returns the count of
+/// closed-loop members turned away before the run started.
+fn stage(target: &mut impl Stage, spec: &ScenarioSpec, seed: u64) -> u64 {
     let mut prerun_rejected = 0u64;
     let mut root = DetRng::seed_from(seed ^ 0x5CEA_7A11);
     for (gi, group) in spec.groups.iter().enumerate() {
         let mut rng = root.fork(gi as u64 + 1);
-        let arrivals = arrival_times(group, &mut rng);
-        let pin = group.device.map(DeviceId::new);
-        for at in arrivals {
-            let workload = group
-                .build_member()
-                // lint: allow(unchecked-unwrap) — spec.validate() ran before
-                // any workload build on this path
-                .expect("validated spec workloads must build");
+        for at in arrival_times(group, &mut rng) {
             let stay = lifetime(group, &mut rng);
             if at == SimTime::ZERO && stay.is_none() {
                 // Closed-loop members present from the start take the
                 // classic admission path (staggered first steps), so a
                 // purely static scenario reproduces the legacy
                 // harnesses byte for byte.
-                let admitted = match pin {
-                    Some(d) => world.add_task_pinned(workload, d),
-                    None => world.add_task(workload),
-                };
-                if admitted.is_err() {
+                if !target.admit(group) {
                     prerun_rejected += 1;
                 }
             } else {
-                match (stay, pin) {
-                    (Some(stay), Some(d)) => world.spawn_task_for_on(at, workload, stay, d),
-                    (Some(stay), None) => world.spawn_task_for(at, workload, stay),
-                    (None, Some(d)) => world.spawn_task_at_on(at, workload, d),
-                    (None, None) => world.spawn_task_at(at, workload),
-                }
+                target.spawn(group, at, stay);
             }
         }
     }
-    let report = world.run(spec.horizon);
-    (report, prerun_rejected)
+    prerun_rejected
 }
 
 /// Runs one (scenario, scheduler, placement, fleet placement,
-/// rebalance, seed) cell to its horizon, constructing a fresh
-/// [`World`] (or [`Fleet`] when the spec has `hosts > 1`) for it.
+/// rebalance, fault mode, seed) cell to its horizon on fresh worlds.
 ///
-/// This is the reference path; sweep workers use a [`CellRunner`],
-/// which recycles one world across cells and is proven equivalent by
+/// This is the reference path; sweep workers keep one [`CellRunner`],
+/// which recycles its world across cells and is proven equivalent by
 /// the runner-equivalence tests.
 ///
 /// # Panics
@@ -399,36 +465,7 @@ pub fn run_cell(
     faults: FaultMode,
     seed: u64,
 ) -> CellResult {
-    let started = Instant::now();
-    if spec.hosts > 1 {
-        return run_fleet_cell(
-            spec,
-            scheduler,
-            placement,
-            fleet_placement,
-            rebalance,
-            faults,
-            seed,
-            started,
-        );
-    }
-    let device_params = spec.device_params();
-    let config = cell_config(spec, rebalance, faults, seed, &device_params);
-    let mut world = if spec.devices > 1 {
-        World::with_devices(config, placement.build(), |dev| {
-            cell_scheduler(spec, scheduler, &device_params, dev)
-        })
-    } else {
-        // Single-device scenarios take the exact legacy constructor
-        // path, keeping static scenarios byte-identical to the old
-        // harnesses.
-        World::new(
-            config,
-            cell_scheduler(spec, scheduler, &device_params, DeviceId::new(0)),
-        )
-    };
-    finish_cell(
-        &mut world,
+    CellRunner::new().run(
         spec,
         scheduler,
         placement,
@@ -436,199 +473,13 @@ pub fn run_cell(
         rebalance,
         faults,
         seed,
-        started,
     )
 }
 
-/// Shared tail of the fresh and recycled cell paths: trace arming,
-/// staging, the run itself, and summarization.
-#[allow(clippy::too_many_arguments)]
-fn finish_cell(
-    world: &mut World,
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    fleet_placement: FleetPlacementKind,
-    rebalance: RebalanceKind,
-    faults: FaultMode,
-    seed: u64,
-    started: Instant,
-) -> CellResult {
-    if spec.capture_trace {
-        world.trace.set_enabled(true);
-    }
-    let (report, prerun_rejected) = stage_and_run(world, spec, seed);
-    let elapsed = started.elapsed();
-    let trace_jsonl = spec.capture_trace.then(|| world.trace.to_jsonl());
-    let summary = summarize(
-        spec,
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults,
-        seed,
-        &report,
-        prerun_rejected,
-        elapsed,
-    );
-    CellResult {
-        summary,
-        report,
-        trace_jsonl,
-        fleet: None,
-    }
-}
-
-/// Builds one host's fresh [`World`] for a fleet cell. Hosts are
-/// homogeneous inside (default devices); the spec's interconnect, if
-/// any, applies within every host.
-#[allow(clippy::too_many_arguments)]
-fn fleet_host_world(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    rebalance: RebalanceKind,
-    faults: FaultMode,
-    seed: u64,
-    host_devices: usize,
-) -> World {
-    let device_params = vec![spec.params.clone().unwrap_or_default(); host_devices];
-    let topology = spec.interconnect.clone().map(|ic| {
-        Topology::new(
-            (0..host_devices)
-                .map(|_| DeviceSlotSpec::near(GpuConfig::default()))
-                .collect(),
-            ic,
-        )
-    });
-    let config = WorldConfig {
-        faults: cell_fault_plan(spec, faults),
-        devices: if topology.is_none() && host_devices > 1 {
-            vec![GpuConfig::default(); host_devices]
-        } else {
-            Vec::new()
-        },
-        topology,
-        cost: spec.cost.clone().unwrap_or_default(),
-        params: spec.params.clone().unwrap_or_default(),
-        device_params: device_params.clone(),
-        rebalance,
-        seed,
-        record_requests: spec.record_requests,
-        metrics: spec.metrics,
-        sample_every: spec.sample_every,
-        ..WorldConfig::default()
-    };
-    if host_devices > 1 {
-        World::with_devices(config, placement.build(), |dev| {
-            cell_scheduler(spec, scheduler, &device_params, dev)
-        })
-    } else {
-        World::new(
-            config,
-            cell_scheduler(spec, scheduler, &device_params, DeviceId::new(0)),
-        )
-    }
-}
-
-/// Stages the spec's tenant groups on `fleet` and runs to the horizon
-/// — the fleet mirror of [`stage_and_run`], with the identical RNG
-/// discipline, so every host count faces the same arrival/lifetime
-/// schedule. All scheduled arrivals are staged migratable (a factory
-/// rebuilding the member's workload), letting the fleet rebalance
-/// policy move them across hosts.
-fn stage_fleet_and_run(fleet: &mut Fleet, spec: &ScenarioSpec, seed: u64) -> (FleetReport, u64) {
-    let mut prerun_rejected = 0u64;
-    let mut root = DetRng::seed_from(seed ^ 0x5CEA_7A11);
-    for (gi, group) in spec.groups.iter().enumerate() {
-        let mut rng = root.fork(gi as u64 + 1);
-        let arrivals = arrival_times(group, &mut rng);
-        for at in arrivals {
-            let stay = lifetime(group, &mut rng);
-            if at == SimTime::ZERO && stay.is_none() {
-                let workload = group
-                    .build_member()
-                    // lint: allow(unchecked-unwrap) — spec.validate() ran
-                    // before any workload build on this path
-                    .expect("validated spec workloads must build");
-                if fleet.add_task(workload).is_err() {
-                    prerun_rejected += 1;
-                }
-            } else {
-                let g = group.clone();
-                let factory: WorkloadFactory = Box::new(move || {
-                    g.build_member()
-                        // lint: allow(unchecked-unwrap) — spec.validate() ran
-                        // before any workload build on this path
-                        .expect("validated spec workloads must build")
-                });
-                match stay {
-                    Some(stay) => fleet.spawn_migratable_for(at, factory, stay),
-                    None => fleet.spawn_migratable_at(at, factory),
-                }
-            }
-        }
-    }
-    let report = fleet.run(spec.horizon);
-    (report, prerun_rejected)
-}
-
-/// The fleet counterpart of the [`run_cell`] body: builds one fresh
-/// [`World`] per host, wraps them in a [`Fleet`], stages, runs, and
-/// summarizes.
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_cell(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    fleet_placement: FleetPlacementKind,
-    rebalance: RebalanceKind,
-    faults: FaultMode,
-    seed: u64,
-    started: Instant,
-) -> CellResult {
-    let hosts: Vec<World> = spec
-        .host_device_counts()
-        .iter()
-        .map(|&dh| fleet_host_world(spec, scheduler, placement, rebalance, faults, seed, dh))
-        .collect();
-    let mut fleet = Fleet::new(
-        hosts,
-        fleet_placement.build(),
-        spec.fleet_rebalance.build(),
-        spec.cluster.clone().unwrap_or_default(),
-    );
-    if faults != FaultMode::None {
-        fleet.set_faults(spec.fault_plan().filtered(faults));
-    }
-    let (report, prerun_rejected) = stage_fleet_and_run(&mut fleet, spec, seed);
-    let elapsed = started.elapsed();
-    let summary = summarize_fleet(
-        spec,
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults,
-        seed,
-        &report,
-        prerun_rejected,
-        elapsed,
-    );
-    let host0 = report.hosts[0].clone();
-    CellResult {
-        summary,
-        report: host0,
-        trace_jsonl: None,
-        fleet: Some(report),
-    }
-}
-
 /// A reusable cell executor: builds one [`World`] on first use and
-/// [`World::reset`]s it for every subsequent cell, so a sweep worker
-/// pays world construction (event-queue slab, trace ring, task table)
-/// once instead of per cell. Results are byte-identical to
+/// [`World::reset`]s it for every later single-host cell, so a sweep
+/// worker pays world construction (event-queue slab, trace ring, task
+/// table) once instead of per cell. Results are byte-identical to
 /// [`run_cell`] — pinned by the runner-equivalence and world-reuse
 /// tests.
 #[derive(Default)]
@@ -642,9 +493,10 @@ impl CellRunner {
         CellRunner::default()
     }
 
-    /// Runs one cell, recycling this runner's world. Fleet cells
-    /// (`hosts > 1`) build their hosts fresh each time — a `Fleet`
-    /// runs once by design — leaving the recycled world untouched.
+    /// Runs one cell. A single host runs this runner's recycled world;
+    /// fleet cells (`hosts > 1`) build their hosts fresh each time — a
+    /// `Fleet` runs once by design — leaving the recycled world
+    /// untouched.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -656,62 +508,90 @@ impl CellRunner {
         faults: FaultMode,
         seed: u64,
     ) -> CellResult {
-        let started = Instant::now();
-        if spec.hosts > 1 {
-            return run_fleet_cell(
-                spec,
-                scheduler,
-                placement,
-                fleet_placement,
-                rebalance,
-                faults,
-                seed,
-                started,
-            );
-        }
-        let device_params = spec.device_params();
-        let config = cell_config(spec, rebalance, faults, seed, &device_params);
-        let make_sched = |dev: DeviceId| cell_scheduler(spec, scheduler, &device_params, dev);
-        let world = match self.world.as_mut() {
-            Some(world) => {
-                world.reset(config, placement.build(), make_sched);
-                world
-            }
-            None => self
-                .world
-                .insert(World::with_devices(config, placement.build(), make_sched)),
-        };
-        finish_cell(
-            world,
-            spec,
+        let cell = Axes {
             scheduler,
             placement,
             fleet_placement,
             rebalance,
             faults,
             seed,
-            started,
-        )
+        };
+        let started = Instant::now();
+        let hosts = spec.host_device_counts();
+        let (report, fleet, prerun_rejected) = match hosts[..] {
+            [devices] => {
+                let recycled = self.world.take();
+                let world = self.world.insert(host_world(spec, cell, devices, recycled));
+                if spec.capture_trace {
+                    world.trace.set_enabled(true);
+                }
+                let prerun_rejected = stage(world, spec, seed);
+                (world.run(spec.horizon), None, prerun_rejected)
+            }
+            _ => {
+                let worlds = hosts
+                    .iter()
+                    .map(|&devices| host_world(spec, cell, devices, None))
+                    .collect();
+                let mut cluster = Fleet::new(
+                    worlds,
+                    fleet_placement.build(),
+                    spec.fleet_rebalance.build(),
+                    spec.cluster.clone().unwrap_or_default(),
+                );
+                if faults != FaultMode::None {
+                    cluster.set_faults(spec.fault_plan().filtered(faults));
+                }
+                let prerun_rejected = stage(&mut cluster, spec, seed);
+                let fleet = cluster.run(spec.horizon);
+                (fleet.hosts[0].clone(), Some(fleet), prerun_rejected)
+            }
+        };
+        let elapsed = started.elapsed();
+        // Traces are per world, so only a single-host cell has one.
+        let trace_jsonl = match (&fleet, &self.world) {
+            (None, Some(world)) if spec.capture_trace => Some(world.trace.to_jsonl()),
+            _ => None,
+        };
+        let host_reports = match &fleet {
+            Some(f) => &f.hosts[..],
+            None => std::slice::from_ref(&report),
+        };
+        let summary = summarize(
+            spec,
+            cell,
+            host_reports,
+            fleet.as_ref(),
+            prerun_rejected,
+            elapsed,
+        );
+        CellResult {
+            summary,
+            report,
+            trace_jsonl,
+            fleet,
+        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Condenses a cell's per-host reports — one on a single host — plus,
+/// on a fleet, the cluster-level counters into its [`CellSummary`].
 fn summarize(
     spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    fleet_placement: FleetPlacementKind,
-    rebalance: RebalanceKind,
-    faults_mode: FaultMode,
-    seed: u64,
-    report: &RunReport,
+    cell: Axes,
+    hosts: &[RunReport],
+    fleet: Option<&FleetReport>,
     prerun_rejected: u64,
     elapsed: std::time::Duration,
 ) -> CellSummary {
+    let tasks = || hosts.iter().flat_map(|h| &h.tasks);
+    let sum = |f: fn(&RunReport) -> u64| hosts.iter().map(f).sum::<u64>();
+    let sum_time = |f: fn(&RunReport) -> SimDuration| {
+        hosts.iter().fold(SimDuration::ZERO, |acc, h| acc + f(h))
+    };
+    let cluster = |f: fn(&FleetReport) -> u64| fleet.map_or(0, f);
     let min_presence = spec.horizon / 20;
-    let shares: Vec<f64> = report
-        .tasks
-        .iter()
+    let shares: Vec<f64> = tasks()
         .filter(|t| t.presence(spec.horizon) >= min_presence)
         .map(|t| {
             let presence = t.presence(spec.horizon);
@@ -725,159 +605,48 @@ fn summarize(
     };
     // One interface for percentiles whatever the metrics mode: exact
     // vectors when present, merged per-task histograms otherwise.
-    let rounds = report.round_distribution();
+    let rounds = round_distribution(tasks());
     CellSummary {
         scenario: spec.name.clone(),
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults_mode,
-        seed,
-        horizon: spec.horizon,
-        devices: spec.devices,
-        hosts: 1,
-        admitted: report.tasks.len(),
-        rejected: report.rejected_admissions + prerun_rejected,
-        departed: report
-            .tasks
-            .iter()
-            .filter(|t| t.finished_at.is_some() && !t.killed)
-            .count(),
-        killed: report.tasks.iter().filter(|t| t.killed).count(),
-        total_rounds: rounds.count(),
-        completed_requests: report.tasks.iter().map(|t| t.completed_requests).sum(),
-        faults: report.faults,
-        direct_submits: report.direct_submits,
-        utilization: report.utilization(),
-        fairness,
-        round_p50: rounds.quantile(50.0),
-        round_p95: rounds.quantile(95.0),
-        round_p99: rounds.quantile(99.0),
-        migrations: report.migrations,
-        transfer_stall: report.transfer_stall,
-        cross_host_migrations: 0,
-        cluster_transfer_stall: SimDuration::ZERO,
-        fleet_rejected: 0,
-        injected_faults: report.injected_faults,
-        watchdog_kills: report.watchdog_kills,
-        fault_retries: report.fault_retries,
-        recovered_tasks: report.recovered_tasks,
-        lost_tasks: report.lost_tasks,
-        hot_removes: report.hot_removes,
-        degraded: report.degraded,
-        per_device: report
-            .devices
-            .iter()
-            .map(|d| DeviceSummary {
-                device: d.device,
-                utilization: d.utilization(spec.horizon),
-                rejected: d.rejected,
-                tenants: d.tenants,
-                migrations_in: d.migrations_in,
-                migrations_out: d.migrations_out,
-                transfer_stall: d.transfer_stall,
-            })
-            .collect(),
-        per_host: Vec::new(),
-        elapsed,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn summarize_fleet(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    fleet_placement: FleetPlacementKind,
-    rebalance: RebalanceKind,
-    faults_mode: FaultMode,
-    seed: u64,
-    fleet: &FleetReport,
-    prerun_rejected: u64,
-    elapsed: std::time::Duration,
-) -> CellSummary {
-    let min_presence = spec.horizon / 20;
-    let shares: Vec<f64> = fleet
-        .hosts
-        .iter()
-        .flat_map(|h| h.tasks.iter())
-        .filter(|t| t.presence(spec.horizon) >= min_presence)
-        .map(|t| {
-            let presence = t.presence(spec.horizon);
-            t.usage.as_micros_f64() / presence.as_micros_f64().max(1.0)
-        })
-        .collect();
-    let fairness = if shares.is_empty() {
-        1.0
-    } else {
-        jain_index(&shares)
-    };
-    let rounds = fleet.round_distribution();
-    let sum_duration = |f: &dyn Fn(&RunReport) -> SimDuration| {
-        fleet
-            .hosts
-            .iter()
-            .fold(SimDuration::ZERO, |acc, h| acc + f(h))
-    };
-    CellSummary {
-        scenario: spec.name.clone(),
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults_mode,
-        seed,
+        scheduler: cell.scheduler,
+        placement: cell.placement,
+        fleet_placement: cell.fleet_placement,
+        rebalance: cell.rebalance,
+        faults_mode: cell.faults,
+        seed: cell.seed,
         horizon: spec.horizon,
         devices: spec.host_device_counts().iter().sum(),
-        hosts: fleet.hosts.len(),
-        admitted: fleet.hosts.iter().map(|h| h.tasks.len()).sum(),
-        rejected: fleet.rejected_admissions() + prerun_rejected,
-        departed: fleet
-            .hosts
-            .iter()
-            .flat_map(|h| h.tasks.iter())
+        hosts: hosts.len(),
+        admitted: tasks().count(),
+        rejected: sum(|h| h.rejected_admissions) + cluster(|f| f.fleet_rejected) + prerun_rejected,
+        departed: tasks()
             .filter(|t| t.finished_at.is_some() && !t.killed)
             .count(),
-        killed: fleet
-            .hosts
-            .iter()
-            .flat_map(|h| h.tasks.iter())
-            .filter(|t| t.killed)
-            .count(),
+        killed: tasks().filter(|t| t.killed).count(),
         total_rounds: rounds.count(),
-        completed_requests: fleet
-            .hosts
-            .iter()
-            .flat_map(|h| h.tasks.iter())
-            .map(|t| t.completed_requests)
-            .sum(),
-        faults: fleet.hosts.iter().map(|h| h.faults).sum(),
-        direct_submits: fleet.hosts.iter().map(|h| h.direct_submits).sum(),
-        utilization: fleet.utilization(),
+        completed_requests: tasks().map(|t| t.completed_requests).sum(),
+        faults: sum(|h| h.faults),
+        direct_submits: sum(|h| h.direct_submits),
+        utilization: hosts.iter().map(RunReport::utilization).sum::<f64>() / hosts.len() as f64,
         fairness,
         round_p50: rounds.quantile(50.0),
         round_p95: rounds.quantile(95.0),
         round_p99: rounds.quantile(99.0),
-        migrations: fleet.hosts.iter().map(|h| h.migrations).sum(),
-        transfer_stall: sum_duration(&|h| h.transfer_stall),
-        cross_host_migrations: fleet.cross_host_migrations,
-        cluster_transfer_stall: fleet.cluster_transfer_stall,
-        fleet_rejected: fleet.fleet_rejected,
-        injected_faults: fleet.hosts.iter().map(|h| h.injected_faults).sum::<u64>()
-            + fleet.host_failures,
-        watchdog_kills: fleet.hosts.iter().map(|h| h.watchdog_kills).sum(),
-        fault_retries: fleet.hosts.iter().map(|h| h.fault_retries).sum(),
-        recovered_tasks: fleet.hosts.iter().map(|h| h.recovered_tasks).sum::<u64>()
-            + fleet.fleet_fault_recovered,
-        lost_tasks: fleet.hosts.iter().map(|h| h.lost_tasks).sum::<u64>() + fleet.fleet_lost_tasks,
-        hot_removes: fleet.hosts.iter().map(|h| h.hot_removes).sum(),
-        degraded: sum_duration(&|h| h.degraded) + fleet.host_degraded,
-        per_device: fleet
-            .hosts
+        migrations: sum(|h| h.migrations),
+        transfer_stall: sum_time(|h| h.transfer_stall),
+        cross_host_migrations: cluster(|f| f.cross_host_migrations),
+        cluster_transfer_stall: fleet.map_or(SimDuration::ZERO, |f| f.cluster_transfer_stall),
+        fleet_rejected: cluster(|f| f.fleet_rejected),
+        injected_faults: sum(|h| h.injected_faults) + cluster(|f| f.host_failures),
+        watchdog_kills: sum(|h| h.watchdog_kills),
+        fault_retries: sum(|h| h.fault_retries),
+        recovered_tasks: sum(|h| h.recovered_tasks) + cluster(|f| f.fleet_fault_recovered),
+        lost_tasks: sum(|h| h.lost_tasks) + cluster(|f| f.fleet_lost_tasks),
+        hot_removes: sum(|h| h.hot_removes),
+        degraded: sum_time(|h| h.degraded) + fleet.map_or(SimDuration::ZERO, |f| f.host_degraded),
+        per_device: hosts
             .iter()
-            .flat_map(|h| h.devices.iter())
+            .flat_map(|h| &h.devices)
             .map(|d| DeviceSummary {
                 device: d.device,
                 utilization: d.utilization(spec.horizon),
@@ -888,19 +657,23 @@ fn summarize_fleet(
                 transfer_stall: d.transfer_stall,
             })
             .collect(),
-        per_host: fleet
-            .hosts
-            .iter()
-            .enumerate()
-            .map(|(i, h)| HostSummary {
-                host: i,
-                devices: h.devices.len(),
-                utilization: h.utilization(),
-                admitted: h.tasks.len(),
-                rejected: h.rejected_admissions,
-                rounds: h.round_distribution().count(),
-            })
-            .collect(),
+        // Host rows exist only on a fleet, so a single-host cell keeps
+        // the CSV free of `host<i>_*` columns.
+        per_host: match fleet {
+            None => Vec::new(),
+            Some(_) => hosts
+                .iter()
+                .enumerate()
+                .map(|(i, h)| HostSummary {
+                    host: i,
+                    devices: h.devices.len(),
+                    utilization: h.utilization(),
+                    admitted: h.tasks.len(),
+                    rejected: h.rejected_admissions,
+                    rounds: h.round_distribution().count(),
+                })
+                .collect(),
+        },
         elapsed,
         peak_rss_bytes: peak_rss_bytes(),
     }

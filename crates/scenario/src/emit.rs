@@ -288,14 +288,6 @@ migrations_in,migrations_out\n",
     o
 }
 
-/// Simulated events of one cell: every host's on a fleet cell, whose
-/// `report` is host 0's alone.
-fn cell_events(r: &CellResult) -> u64 {
-    r.fleet
-        .as_ref()
-        .map_or(r.report.events, |f| f.hosts.iter().map(|h| h.events).sum())
-}
-
 /// Serializes a `neon bench` run as the machine-readable perf
 /// trajectory document (`BENCH_core.json`): wall times, simulated
 /// discrete-event counts and simulator throughput (events per host
@@ -331,7 +323,7 @@ pub fn bench_json(
     parallel_runs: &[SweepOutcome],
     row_rss: &[Option<u64>],
 ) -> String {
-    let total_events: u64 = serial.results.iter().map(cell_events).sum();
+    let total_events: u64 = serial.results.iter().map(CellResult::events).sum();
     let serial_s = serial.wall.as_secs_f64();
     // The headline parallel run: the widest one (ties: the last).
     let headline = parallel_runs
@@ -421,7 +413,7 @@ pub fn bench_json(
         let mut peak_rss: Option<u64> = None;
         for c in cells {
             n += 1;
-            events += cell_events(c);
+            events += c.events();
             wall += c.summary.elapsed.as_secs_f64();
             if let Some(rss) = c.summary.peak_rss_bytes {
                 peak_rss = Some(peak_rss.map_or(rss, |p| p.max(rss)));

@@ -40,6 +40,19 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
+/// Most devices one cell may simulate, summed over its hosts.
+/// [`ScenarioSpec::validate`] enforces this and the two limits below
+/// so that an untrusted size gives a keyed error instead of a
+/// multi-gigabyte allocation; each sits far above every in-tree
+/// scenario (4 devices, 4 hosts, 80 members in a group).
+pub const MAX_DEVICES: usize = 1024;
+
+/// Most hosts one cell may simulate.
+pub const MAX_HOSTS: usize = 256;
+
+/// Most members one tenant group may expand to.
+pub const MAX_GROUP_COUNT: u32 = 100_000;
+
 /// The workload model a tenant group runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
@@ -551,16 +564,18 @@ impl ScenarioSpec {
         self
     }
 
-    /// The host topology this scenario describes, if it describes one:
-    /// `None` when there are neither device slots nor interconnect
-    /// parameters (the flat legacy path). Call only on a validated
-    /// spec.
-    pub fn topology(&self) -> Option<Topology> {
+    /// The topology of one host with `devices` devices, if the
+    /// scenario describes one: its `[[device]]` slots (single-host
+    /// scenarios only), or else `devices` default devices behind the
+    /// interconnect. `None` when there are neither device slots nor
+    /// interconnect parameters (the flat legacy path). Call only on a
+    /// validated spec.
+    pub fn topology(&self, devices: usize) -> Option<Topology> {
         if self.device_slots.is_empty() && self.interconnect.is_none() {
             return None;
         }
         let slots = if self.device_slots.is_empty() {
-            (0..self.devices)
+            (0..devices)
                 .map(|_| DeviceSlotSpec::near(GpuConfig::default()))
                 .collect()
         } else {
@@ -662,12 +677,14 @@ impl ScenarioSpec {
             * self.effective_fault_modes().len()
     }
 
-    /// Effective [`SchedParams`] per device: the scenario-wide override
-    /// (or the defaults), with pinned-group overrides applied to their
-    /// devices. Call only on a validated spec.
-    pub fn device_params(&self) -> Vec<SchedParams> {
+    /// Effective [`SchedParams`] for each of one host's `devices`
+    /// devices: the scenario-wide override (or the defaults), with
+    /// pinned-group overrides applied to their devices. Pins only exist
+    /// on single-host scenarios, so a fleet host gets the scenario-wide
+    /// params throughout. Call only on a validated spec.
+    pub fn device_params(&self, devices: usize) -> Vec<SchedParams> {
         let base = self.params.clone().unwrap_or_default();
-        let mut per_device = vec![base; self.devices];
+        let mut per_device = vec![base; devices];
         for g in &self.groups {
             if let (Some(d), Some(p)) = (g.device, &g.params) {
                 per_device[d as usize] = p.clone();
@@ -693,6 +710,12 @@ impl ScenarioSpec {
         }
         if self.devices == 0 {
             return Err(err("devices must be at least 1"));
+        }
+        if self.devices > MAX_DEVICES {
+            return Err(err(format!(
+                "devices = {} exceeds the limit of {MAX_DEVICES}",
+                self.devices
+            )));
         }
         if !self.device_slots.is_empty() && self.device_slots.len() != self.devices {
             return Err(err(format!(
@@ -724,8 +747,29 @@ impl ScenarioSpec {
                 self.hosts
             )));
         }
+        if self.hosts > MAX_HOSTS {
+            return Err(err(format!(
+                "hosts = {} exceeds the limit of {MAX_HOSTS}",
+                self.hosts
+            )));
+        }
         if let Some(i) = self.host_devices.iter().position(|&d| d == 0) {
             return Err(err(format!("host {i} has devices = 0")));
+        }
+        let total_devices = self
+            .host_device_counts()
+            .iter()
+            .fold(0usize, |sum, &d| sum.saturating_add(d));
+        if total_devices > MAX_DEVICES {
+            return Err(err(format!(
+                "the hosts have {total_devices} devices in total, over the limit of {MAX_DEVICES}"
+            )));
+        }
+        if self.capture_trace && self.hosts > 1 {
+            return Err(err(
+                "trace capture (--trace-out) records one world, but the scenario has \
+                 hosts > 1; drop --trace-out or run a single host",
+            ));
         }
         if self.fleet_placements.is_empty() {
             return Err(err("at least one fleet placement policy required"));
@@ -836,11 +880,19 @@ impl ScenarioSpec {
             if g.count == 0 {
                 return Err(err(format!("group {:?} has count 0", g.name)));
             }
+            if g.count > MAX_GROUP_COUNT {
+                return Err(err(format!(
+                    "group {:?} has count {}, over the limit of {MAX_GROUP_COUNT}",
+                    g.name, g.count
+                )));
+            }
             g.workload.build()?;
             match &g.arrival {
-                ArrivalSpec::Poisson { rate_hz, .. } if *rate_hz <= 0.0 => {
+                ArrivalSpec::Poisson { rate_hz, .. }
+                    if !(rate_hz.is_finite() && *rate_hz > 0.0) =>
+                {
                     return Err(err(format!(
-                        "group {:?}: poisson rate must be positive",
+                        "group {:?}: poisson rate must be positive and finite",
                         g.name
                     )));
                 }
@@ -1041,7 +1093,7 @@ mod tests {
             )
             .group(TenantGroup::new("b", throttle));
         spec.validate().unwrap();
-        let params = spec.device_params();
+        let params = spec.device_params(spec.devices);
         assert_eq!(params[0].sampling_requests, 96);
         assert_eq!(params[1].sampling_requests, 32);
         assert_eq!(spec.cell_count(), 7, "placement axis multiplies cells");
@@ -1079,5 +1131,63 @@ mod tests {
         for w in &specs {
             assert!(w.build().is_ok(), "{w:?} failed to build");
         }
+    }
+
+    fn one_group(horizon: SimDuration) -> ScenarioSpec {
+        ScenarioSpec::new("limits", horizon).group(TenantGroup::new(
+            "g",
+            WorkloadSpec::Throttle {
+                request: us(100),
+                off_ratio: 0.0,
+                jitter: 0.0,
+            },
+        ))
+    }
+
+    #[test]
+    fn non_finite_poisson_rate_built_in_code_is_rejected() {
+        for rate_hz in [f64::NAN, f64::INFINITY] {
+            let mut spec = one_group(SimDuration::from_millis(10));
+            spec.groups[0].arrival = ArrivalSpec::Poisson {
+                rate_hz,
+                start: SimDuration::ZERO,
+            };
+            let e = spec.validate().unwrap_err();
+            assert!(e.0.contains("poisson rate"), "{rate_hz}: {e}");
+        }
+    }
+
+    #[test]
+    fn trace_capture_on_a_fleet_is_rejected() {
+        let spec = one_group(SimDuration::from_millis(10)).capture_trace(true);
+        spec.validate().unwrap();
+        let e = spec.hosts(2).validate().unwrap_err();
+        assert!(e.0.contains("trace capture"), "{e}");
+    }
+
+    #[test]
+    fn sizes_over_the_limits_are_rejected() {
+        let base = one_group(SimDuration::from_millis(10));
+        assert!(base.clone().devices(MAX_DEVICES).validate().is_ok());
+        let e = base
+            .clone()
+            .devices(MAX_DEVICES + 1)
+            .validate()
+            .unwrap_err();
+        assert!(e.0.contains("devices ="), "{e}");
+        let e = base.clone().hosts(MAX_HOSTS + 1).validate().unwrap_err();
+        assert!(e.0.contains("hosts ="), "{e}");
+        // Within both limits separately, over the limit in total.
+        let e = base
+            .clone()
+            .devices(8)
+            .hosts(MAX_HOSTS)
+            .validate()
+            .unwrap_err();
+        assert!(e.0.contains("devices in total"), "{e}");
+        let mut big = base;
+        big.groups[0].count = MAX_GROUP_COUNT + 1;
+        let e = big.validate().unwrap_err();
+        assert!(e.0.contains("over the limit"), "{e}");
     }
 }

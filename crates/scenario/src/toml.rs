@@ -330,6 +330,13 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, SpecError> {
             )))
         }
     };
+    // `from_micros_f64` would saturate at the u64 nanosecond ceiling
+    // and read back as an infinite duration.
+    if micros * 1_000.0 >= u64::MAX as f64 {
+        return Err(SpecError(format!(
+            "duration {s:?} overflows the nanosecond clock (about 584 years)"
+        )));
+    }
     Ok(SimDuration::from_micros_f64(micros))
 }
 
@@ -383,9 +390,11 @@ fn get_u32(t: &Table, key: &str) -> Result<Option<u32>, SpecError> {
 fn get_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
     match t.get(key) {
         None => Ok(None),
-        Some(Value::Float(v)) => Ok(Some(*v)),
+        Some(Value::Float(v)) if v.is_finite() => Ok(Some(*v)),
         Some(Value::Int(v)) => Ok(Some(*v as f64)),
-        Some(other) => Err(SpecError(format!("{key} must be a number, got {other:?}"))),
+        Some(other) => Err(SpecError(format!(
+            "{key} must be a finite number, got {other:?}"
+        ))),
     }
 }
 
@@ -1564,7 +1573,7 @@ params.sampling_requests = 96
         assert_eq!(group_params.sampling_requests, 96);
         // Group overrides start from the scenario-level params.
         assert_eq!(group_params.sampling_max, SimDuration::from_millis(3));
-        let per_device = spec.device_params();
+        let per_device = spec.device_params(spec.devices);
         assert_eq!(per_device[3].sampling_requests, 96);
         assert_eq!(per_device[0].sampling_requests, 32);
         assert_eq!(spec.cell_count(), 3);
@@ -1683,7 +1692,7 @@ working_set = "128MB"
         // 4 GB/s ≈ 4295 bytes/µs.
         assert!((inter.cross_numa_bpus - 4294.967296).abs() < 1e-6);
         assert_eq!(spec.groups[0].working_set, Some(128 << 20));
-        let topo = spec.topology().expect("topology present");
+        let topo = spec.topology(spec.devices).expect("topology present");
         assert_eq!(topo.len(), 2);
         assert_eq!(
             topo.tier(0, 1),
@@ -2164,5 +2173,67 @@ kind = "hang"
              [[group]]\nworkload = \"throttle\"\nrequest = \"1ms\"\n";
         let e = from_toml(stray, "x").unwrap_err();
         assert!(e.0.contains("did you mean"), "{e}");
+    }
+
+    /// Loads `root` keys plus one throttle group (with `group` keys)
+    /// and returns the error, which must name `key`.
+    fn rejected(root: &str, group: &str, key: &str) -> SpecError {
+        let text = format!(
+            "horizon = \"10ms\"\n{root}[[group]]\nworkload = \"throttle\"\n\
+             request = \"1ms\"\n{group}"
+        );
+        let e = from_toml(&text, "x").unwrap_err();
+        assert!(e.0.contains(key), "{key}: {e}");
+        e
+    }
+
+    #[test]
+    fn nan_poisson_rate_is_rejected() {
+        rejected(
+            "",
+            "count = 2\narrival = \"poisson\"\nrate_hz = nan\n",
+            "rate_hz",
+        );
+    }
+
+    #[test]
+    fn nan_jitter_is_rejected() {
+        rejected("", "jitter = nan\n", "jitter");
+    }
+
+    #[test]
+    fn nan_cluster_bandwidth_is_rejected() {
+        rejected("hosts = 2\ncluster.gbps = nan\n", "", "cluster.gbps");
+    }
+
+    #[test]
+    fn overflowing_horizon_is_rejected() {
+        let e = parse_duration("99999999999999s").unwrap_err();
+        assert!(e.0.contains("overflows"), "{e}");
+        let text = "horizon = \"99999999999999s\"\n[[group]]\nworkload = \"throttle\"\n\
+                    request = \"1ms\"\n";
+        let e = from_toml(text, "x").unwrap_err();
+        assert!(e.0.contains("99999999999999s"), "{e}");
+        // The largest representable span still loads.
+        assert!(parse_duration("18446744073s").is_ok());
+    }
+
+    #[test]
+    fn huge_device_count_is_rejected() {
+        rejected("devices = 100000000\n", "", "devices = 100000000");
+    }
+
+    #[test]
+    fn huge_host_count_is_rejected() {
+        rejected("hosts = 50000000\n", "", "hosts = 50000000");
+    }
+
+    #[test]
+    fn huge_group_count_is_rejected() {
+        rejected(
+            "",
+            "name = \"big\"\ncount = 4000000000\n",
+            "count 4000000000",
+        );
     }
 }
