@@ -711,12 +711,6 @@ impl ScenarioSpec {
         if self.devices == 0 {
             return Err(err("devices must be at least 1"));
         }
-        if self.devices > MAX_DEVICES {
-            return Err(err(format!(
-                "devices = {} exceeds the limit of {MAX_DEVICES}",
-                self.devices
-            )));
-        }
         if !self.device_slots.is_empty() && self.device_slots.len() != self.devices {
             return Err(err(format!(
                 "{} [[device]] block(s) but devices = {}; drop the devices key or \
@@ -762,7 +756,8 @@ impl ScenarioSpec {
             .fold(0usize, |sum, &d| sum.saturating_add(d));
         if total_devices > MAX_DEVICES {
             return Err(err(format!(
-                "the hosts have {total_devices} devices in total, over the limit of {MAX_DEVICES}"
+                "{total_devices} devices across {} host(s) exceeds the limit of {MAX_DEVICES}",
+                self.hosts
             )));
         }
         if self.capture_trace && self.hosts > 1 {
@@ -1174,17 +1169,17 @@ mod tests {
             .devices(MAX_DEVICES + 1)
             .validate()
             .unwrap_err();
-        assert!(e.0.contains("devices ="), "{e}");
+        assert!(e.0.contains("1025 devices across 1 host"), "{e}");
         let e = base.clone().hosts(MAX_HOSTS + 1).validate().unwrap_err();
         assert!(e.0.contains("hosts ="), "{e}");
-        // Within both limits separately, over the limit in total.
+        // Within both limits per host, over the limit in total.
         let e = base
             .clone()
             .devices(8)
             .hosts(MAX_HOSTS)
             .validate()
             .unwrap_err();
-        assert!(e.0.contains("devices in total"), "{e}");
+        assert!(e.0.contains("2048 devices across 256 host"), "{e}");
         let mut big = base;
         big.groups[0].count = MAX_GROUP_COUNT + 1;
         let e = big.validate().unwrap_err();

@@ -2220,7 +2220,7 @@ kind = "hang"
 
     #[test]
     fn huge_device_count_is_rejected() {
-        rejected("devices = 100000000\n", "", "devices = 100000000");
+        rejected("devices = 100000000\n", "", "100000000 devices");
     }
 
     #[test]
