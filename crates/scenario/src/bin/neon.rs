@@ -279,9 +279,13 @@ fn load_specs(opts: &Options) -> Result<Vec<ScenarioSpec>, String> {
                 // A size override replaces any heterogeneous [[device]]
                 // layout AND the interconnect timing with a flat
                 // free-interconnect host of that size, so overridden
-                // runs compare cleanly against other flat runs.
+                // runs compare cleanly against other flat runs. On one
+                // host it also replaces a lone [[host]] block's count.
                 spec.device_slots.clear();
                 spec.interconnect = None;
+                if spec.hosts == 1 {
+                    spec.host_devices.clear();
+                }
             }
             if let Some(hosts) = opts.hosts {
                 // A fleet-size override replaces any [[host]] layout

@@ -518,7 +518,7 @@ impl CellRunner {
         };
         let started = Instant::now();
         let hosts = spec.host_device_counts();
-        let (report, fleet, prerun_rejected) = match hosts[..] {
+        let (report, fleet, prerun_rejected, traced) = match hosts[..] {
             [devices] => {
                 let recycled = self.world.take();
                 let world = self.world.insert(host_world(spec, cell, devices, recycled));
@@ -526,7 +526,10 @@ impl CellRunner {
                     world.trace.set_enabled(true);
                 }
                 let prerun_rejected = stage(world, spec, seed);
-                (world.run(spec.horizon), None, prerun_rejected)
+                let report = world.run(spec.horizon);
+                // Traces are per world, so only a single-host cell has one.
+                let traced = spec.capture_trace.then_some(&*world);
+                (report, None, prerun_rejected, traced)
             }
             _ => {
                 let worlds = hosts
@@ -544,15 +547,11 @@ impl CellRunner {
                 }
                 let prerun_rejected = stage(&mut cluster, spec, seed);
                 let fleet = cluster.run(spec.horizon);
-                (fleet.hosts[0].clone(), Some(fleet), prerun_rejected)
+                (fleet.hosts[0].clone(), Some(fleet), prerun_rejected, None)
             }
         };
         let elapsed = started.elapsed();
-        // Traces are per world, so only a single-host cell has one.
-        let trace_jsonl = match (&fleet, &self.world) {
-            (None, Some(world)) if spec.capture_trace => Some(world.trace.to_jsonl()),
-            _ => None,
-        };
+        let trace_jsonl = traced.map(|world| world.trace.to_jsonl());
         let host_reports = match &fleet {
             Some(f) => &f.hosts[..],
             None => std::slice::from_ref(&report),

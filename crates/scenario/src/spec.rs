@@ -344,7 +344,8 @@ pub struct ScenarioSpec {
     pub hosts: usize,
     /// Per-host device counts (`[[host]]` blocks in TOML) for
     /// heterogeneous host sizes. Empty means [`ScenarioSpec::hosts`]
-    /// identical hosts.
+    /// identical hosts; a single entry must equal
+    /// [`ScenarioSpec::devices`].
     pub host_devices: Vec<usize>,
     /// Fleet placement policies to sweep (default least-loaded only;
     /// moot — but harmless — on single-host scenarios).
@@ -750,6 +751,18 @@ impl ScenarioSpec {
         if let Some(i) = self.host_devices.iter().position(|&d| d == 0) {
             return Err(err(format!("host {i} has devices = 0")));
         }
+        // A single host's device count sizes its world, while the pin,
+        // per-group-params and device-fault checks below read
+        // `devices`: the two must be the same number.
+        if let ([k], 1) = (&self.host_devices[..], self.hosts) {
+            if *k != self.devices {
+                return Err(err(format!(
+                    "the one [[host]] block has devices = {k} but the scenario has \
+                     devices = {}; make them match or drop the [[host]] block",
+                    self.devices
+                )));
+            }
+        }
         let total_devices = self
             .host_device_counts()
             .iter()
@@ -758,6 +771,14 @@ impl ScenarioSpec {
             return Err(err(format!(
                 "{total_devices} devices across {} host(s) exceeds the limit of {MAX_DEVICES}",
                 self.hosts
+            )));
+        }
+        // [[host]] blocks size the worlds, but `devices` still sizes
+        // the per-device tables below.
+        if self.devices > MAX_DEVICES {
+            return Err(err(format!(
+                "devices = {} exceeds the limit of {MAX_DEVICES}",
+                self.devices
             )));
         }
         if self.capture_trace && self.hosts > 1 {

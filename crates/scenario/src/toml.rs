@@ -44,7 +44,8 @@
 //!
 //! `hosts = N` runs each cell as a fleet of `N` identical hosts (each
 //! with `devices` devices); `[[host]]` blocks (`devices = M`) size
-//! heterogeneous hosts instead. `fleet_placement` is a sweep axis
+//! heterogeneous hosts instead (a lone `[[host]]` block must agree
+//! with `devices`). `fleet_placement` is a sweep axis
 //! (`"all"` or labels `"least-loaded"`, `"round-robin"`,
 //! `"fewest-tenants"`); `fleet_rebalance` is a single label (`"off"`,
 //! `"count-diff"`); `cluster.network = "25g"` (or `cluster.latency` /
@@ -2221,6 +2222,47 @@ kind = "hang"
     #[test]
     fn huge_device_count_is_rejected() {
         rejected("devices = 100000000\n", "", "100000000 devices");
+    }
+
+    #[test]
+    fn huge_device_count_beside_host_blocks_is_rejected() {
+        // `devices` sizes per-device tables in validation even when
+        // [[host]] blocks size the worlds.
+        rejected(
+            "devices = 100000000\n[[host]]\ndevices = 1\n",
+            "",
+            "devices = 100000000",
+        );
+        rejected(
+            "devices = 100000000\n[[host]]\ndevices = 1\n[[host]]\ndevices = 1\n",
+            "",
+            "devices = 100000000 exceeds",
+        );
+    }
+
+    #[test]
+    fn one_host_block_must_match_devices() {
+        // A pin and per-group params checked against `devices = 4`
+        // while the host block would build a one-device world.
+        rejected(
+            "devices = 4\n[[host]]\ndevices = 1\n",
+            "device = 3\nparams.sampling_requests = 96\n",
+            "[[host]] block has devices = 1",
+        );
+        // Two [[device]] slots beside a host block left at one device.
+        rejected(
+            "[[device]]\nnuma = 0\n[[device]]\nnuma = 0\n[[host]]\n",
+            "",
+            "[[host]] block has devices = 1",
+        );
+        // Agreeing counts load as one host.
+        let spec = from_toml(
+            "horizon = \"10ms\"\ndevices = 2\n[[host]]\ndevices = 2\n\
+             [[group]]\nworkload = \"throttle\"\nrequest = \"1ms\"\ndevice = 1\n",
+            "x",
+        )
+        .unwrap();
+        assert_eq!(spec.host_device_counts(), vec![2]);
     }
 
     #[test]
