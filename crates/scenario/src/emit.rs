@@ -39,6 +39,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Quotes a CSV field that holds a comma or a quote.
+fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
+    if s.contains([',', '"']) {
+        format!("\"{}\"", s.replace('"', "\"\"")).into()
+    } else {
+        s.into()
+    }
+}
+
 /// Formats a float compactly and JSON-safely (no NaN/Inf literals).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -255,11 +264,7 @@ migrations_in,migrations_out\n",
     );
     for r in &outcome.results {
         let s = &r.summary;
-        let scenario = if s.scenario.contains([',', '"']) {
-            format!("\"{}\"", s.scenario.replace('"', "\"\""))
-        } else {
-            s.scenario.clone()
-        };
+        let scenario = csv_field(&s.scenario);
         for sample in r.report.timeline.iter() {
             for d in &sample.devices {
                 let _ = writeln!(
@@ -487,11 +492,7 @@ watchdog_kills,fault_retries,recovered_tasks,lost_tasks,hot_removes,degraded_us"
     o.push('\n');
     for r in &outcome.results {
         let s = &r.summary;
-        let scenario = if s.scenario.contains([',', '"']) {
-            format!("\"{}\"", s.scenario.replace('"', "\"\""))
-        } else {
-            s.scenario.clone()
-        };
+        let scenario = csv_field(&s.scenario);
         let _ = write!(
             o,
             "{},{},{},{:.3},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.3},{},{},{:.3},{:.3},{:.3},{}",
@@ -818,6 +819,13 @@ mod tests {
             wall: Duration::from_millis(15),
             threads: 4,
         }
+    }
+
+    #[test]
+    fn csv_fields_with_commas_or_quotes_are_quoted() {
+        assert_eq!(csv_field("churn"), "churn");
+        assert_eq!(csv_field("a,b"), "\"a,b\"");
+        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]
