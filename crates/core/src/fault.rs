@@ -163,6 +163,12 @@ impl FaultMode {
     }
 }
 
+impl std::fmt::Display for FaultMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
 /// Recovery-machinery tuning: the watchdog and the retry/backoff
 /// curves. All durations must be positive (enforced by
 /// [`FaultPlan::validate`]; the scenario loader reports the offending

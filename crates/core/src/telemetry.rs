@@ -49,13 +49,12 @@ pub enum MetricsMode {
 }
 
 impl MetricsMode {
+    /// Every mode.
+    pub const ALL: [MetricsMode; 2] = [MetricsMode::Exact, MetricsMode::Streaming];
+
     /// Parses the CLI/TOML label (`"exact"` or `"streaming"`).
     pub fn from_label(label: &str) -> Option<MetricsMode> {
-        match label {
-            "exact" => Some(MetricsMode::Exact),
-            "streaming" => Some(MetricsMode::Streaming),
-            _ => None,
-        }
+        MetricsMode::ALL.into_iter().find(|m| m.label() == label)
     }
 
     /// The CLI/TOML label.
@@ -64,6 +63,12 @@ impl MetricsMode {
             MetricsMode::Exact => "exact",
             MetricsMode::Streaming => "streaming",
         }
+    }
+}
+
+impl std::fmt::Display for MetricsMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -47,6 +47,9 @@ use neon_core::fleet::FleetPlacementKind;
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::telemetry::MetricsMode;
+use neon_scenario::labels::{
+    Labels, FAULT_MODES, FLEET_PLACEMENTS, METRICS_MODES, PLACEMENTS, REBALANCES,
+};
 use neon_scenario::{emit, parse_duration, sweep, toml_file, CellResult, ScenarioSpec};
 use neon_sim::SimDuration;
 
@@ -119,6 +122,26 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Parses a count flag value, which must be at least 1.
+fn positive(value: Option<&String>, flag: &str) -> Result<usize, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {flag} value")),
+    }
+}
+
+/// Parses a comma-separated label-list flag value.
+fn labels<T: Copy + std::fmt::Display>(
+    value: Option<&String>,
+    flag: &str,
+    kinds: &Labels<T>,
+) -> Result<Vec<T>, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    kinds.parse_list(v.split(',')).map_err(|e| e.0)
+}
+
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         files: Vec::new(),
@@ -154,78 +177,14 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.threads = Some(list);
             }
-            "--devices" => {
-                let v = it.next().ok_or("--devices needs a value")?;
-                let n: usize = v.parse().map_err(|_| "bad --devices value".to_string())?;
-                if n == 0 {
-                    return Err("--devices must be at least 1".into());
-                }
-                opts.devices = Some(n);
-            }
-            "--hosts" => {
-                let v = it.next().ok_or("--hosts needs a value")?;
-                let n: usize = v.parse().map_err(|_| "bad --hosts value".to_string())?;
-                if n == 0 {
-                    return Err("--hosts must be at least 1".into());
-                }
-                opts.hosts = Some(n);
-            }
+            "--devices" => opts.devices = Some(positive(it.next(), arg)?),
+            "--hosts" => opts.hosts = Some(positive(it.next(), arg)?),
+            "--placement" => opts.placements = Some(labels(it.next(), arg, &PLACEMENTS)?),
             "--fleet-placement" => {
-                let v = it.next().ok_or("--fleet-placement needs a value")?;
-                let mut kinds = Vec::new();
-                for label in v.split(',') {
-                    if label == "all" {
-                        kinds.extend(FleetPlacementKind::ALL);
-                        continue;
-                    }
-                    kinds.push(
-                        FleetPlacementKind::from_label(label)
-                            .ok_or_else(|| format!("unknown fleet placement policy {label:?}"))?,
-                    );
-                }
-                opts.fleet_placements = Some(kinds);
+                opts.fleet_placements = Some(labels(it.next(), arg, &FLEET_PLACEMENTS)?)
             }
-            "--placement" => {
-                let v = it.next().ok_or("--placement needs a value")?;
-                let mut kinds = Vec::new();
-                for label in v.split(',') {
-                    if label == "all" {
-                        kinds.extend(PlacementKind::ALL);
-                        continue;
-                    }
-                    kinds.push(
-                        PlacementKind::from_label(label)
-                            .ok_or_else(|| format!("unknown placement policy {label:?}"))?,
-                    );
-                }
-                opts.placements = Some(kinds);
-            }
-            "--rebalance" => {
-                let v = it.next().ok_or("--rebalance needs a value")?;
-                let mut kinds = Vec::new();
-                for label in v.split(',') {
-                    if label == "all" {
-                        kinds.extend(RebalanceKind::ALL);
-                        continue;
-                    }
-                    kinds.push(
-                        RebalanceKind::from_label(label)
-                            .ok_or_else(|| format!("unknown rebalance policy {label:?}"))?,
-                    );
-                }
-                opts.rebalances = Some(kinds);
-            }
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a value")?;
-                let mut modes = Vec::new();
-                for label in v.split(',') {
-                    modes.push(
-                        FaultMode::parse(label)
-                            .ok_or_else(|| format!("unknown fault mode {label:?}"))?,
-                    );
-                }
-                opts.faults = Some(modes);
-            }
+            "--rebalance" => opts.rebalances = Some(labels(it.next(), arg, &REBALANCES)?),
+            "--faults" => opts.faults = Some(labels(it.next(), arg, &FAULT_MODES)?),
             "--out" => {
                 let v = it.next().ok_or("--out needs a path")?;
                 opts.out = Some(PathBuf::from(v));
@@ -236,10 +195,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--metrics" => {
                 let v = it.next().ok_or("--metrics needs exact or streaming")?;
-                opts.metrics = Some(
-                    MetricsMode::from_label(v)
-                        .ok_or_else(|| format!("unknown metrics mode {v:?}"))?,
-                );
+                opts.metrics = Some(METRICS_MODES.parse_one(v).map_err(|e| e.0)?);
             }
             "--sample-every" => {
                 let v = it.next().ok_or("--sample-every needs a duration")?;

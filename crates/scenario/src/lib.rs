@@ -28,6 +28,8 @@
 //!   `World` per cell, with results in plan order and bit-identical
 //!   to a serial run.
 //! - [`emit`] — JSON, CSV and table rendering of sweep outcomes.
+//! - [`labels`] — the labels each sweep axis accepts, shared by the
+//!   TOML loader and the CLI.
 //!
 //! The `neon` binary (`cargo run --bin neon -- run <scenario.toml>`)
 //! drives all of this from the command line; example scenarios live
@@ -78,6 +80,7 @@
 
 pub mod driver;
 pub mod emit;
+pub mod labels;
 pub mod spec;
 pub mod sweep;
 pub mod toml;

@@ -40,6 +40,18 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
+/// Rejects the zero [`SchedParams`] periods that stall a run: a zero
+/// timeslice or minimum free run re-arms its timer at one instant.
+fn periods_positive(params: &SchedParams) -> Result<(), String> {
+    if params.timeslice.is_zero() {
+        return Err("params.timeslice must be positive".into());
+    }
+    if params.freerun_min.is_zero() {
+        return Err("params.freerun_min must be positive".into());
+    }
+    Ok(())
+}
+
 /// Most devices one cell may simulate, summed over its hosts.
 /// [`ScenarioSpec::validate`] enforces this and the two limits below
 /// so that an untrusted size gives a keyed error instead of a
@@ -815,6 +827,26 @@ impl ScenarioSpec {
         // plan reports the offending key), and every event must target
         // something the scenario actually has.
         self.fault_plan().validate().map_err(err)?;
+        // A zero period re-arms a timer at the same instant forever (the
+        // poller, a timeslice, a free run), and a zero-slot ring cannot
+        // hold a request.
+        if self
+            .cost
+            .as_ref()
+            .is_some_and(|c| c.polling_period.is_zero())
+        {
+            return Err(err("cost.polling_period must be positive"));
+        }
+        if let Some(params) = &self.params {
+            periods_positive(params).map_err(err)?;
+        }
+        if let Some(i) = self
+            .device_slots
+            .iter()
+            .position(|d| d.config.ring_capacity == 0)
+        {
+            return Err(err(format!("device[{i}]: ring must be at least 1")));
+        }
         for (i, ev) in self.faults.iter().enumerate() {
             match ev.kind {
                 FaultKind::DeviceRemove { device } | FaultKind::DeviceAdd { device } => {
@@ -870,6 +902,7 @@ impl ScenarioSpec {
                 }
             }
             if let Some(params) = &g.params {
+                periods_positive(params).map_err(|e| err(format!("group {:?}: {e}", g.name)))?;
                 // Per-group SchedParams attach to the pinned device's
                 // scheduler instance; without a pin there is no device
                 // to carry them — reject instead of silently ignoring.

@@ -2,80 +2,85 @@
 //!
 //! The build environment has no crates.io access, so scenarios are
 //! parsed by a small built-in reader covering the subset the files
-//! use (documented in the crate docs and the `examples/scenarios/`
-//! files):
+//! use (see the `examples/scenarios/` files): `key = value` pairs with
+//! string, integer, float, boolean and flat-array values; dotted keys
+//! (`params.timeslice = "20ms"`) stored flat under their dotted name;
+//! `[[group]]`, `[[device]]`, `[[host]]` and `[[fault]]` headers, each
+//! opening one table that the following keys belong to; `#` comments.
 //!
-//! - `key = value` pairs with string, integer, float, boolean and
-//!   flat-array values; dotted keys (`params.timeslice = "20ms"`) are
-//!   stored flat under their dotted name;
-//! - `[[group]]` array-of-tables headers (each opens one tenant
-//!   group; subsequent keys belong to it) and `[[device]]` headers
-//!   (each opens one heterogeneous device slot: `channels`,
-//!   `contexts`, `ring`, `context_switch`, `graphics_cooldown`, plus
-//!   the `numa`/`switch` interconnect coordinate);
-//! - `#` comments and blank lines.
+//! Durations are strings with a unit suffix (`"134ns"`, `"430us"`,
+//! `"30ms"`, `"2s"`); sizes take B/KB/MB/GB suffixes, powers of 1024
+//! (`working_set = "64MB"`, the state charged against the
+//! interconnect when a group's members are placed or migrated).
 //!
-//! Durations are written as strings with a unit suffix: `"134ns"`,
-//! `"430us"`, `"30ms"`, `"2s"`. Scheduler axes accept `"all"`,
-//! `"paper"`, or an array of policy labels (`"disengaged-fq"`, …);
-//! placement axes accept `"all"` or labels (`"least-loaded"`,
-//! `"round-robin"`, `"fewest-tenants"`, `"pinned:<device>"`).
-//! The `rebalance` key is an axis too: `"all"`, a label (`"off"`,
-//! `"count-diff"`, `"cost-aware"` — `"cost"` for short), or an array
-//! of labels; the legacy booleans still parse (`true` →
-//! `"count-diff"`, `false` → `"off"`).
+//! # Sweep axes
 //!
-//! Telemetry: `metrics = "exact"` (default) or `"streaming"` selects
-//! the metrics pipeline, and `sample_every = "<duration>"` switches
-//! on the periodic device-timeline sampler (off when the key is
-//! absent, keeping default runs byte-identical).
+//! `schedulers`, `placement`, `fleet_placement`, `rebalance` and
+//! `faults` take a label or an array of labels. `"all"` (and
+//! `"paper"` for schedulers) stands for a set of labels, alone or
+//! inside an array; placement's `"all"` excludes `"pinned:<device>"`,
+//! and for `faults` `"all"` is a mode of its own (the whole schedule).
+//! `rebalance` also takes the legacy booleans (`true` →
+//! `"count-diff"`, `false` → `"off"`). `fleet_rebalance` and `metrics`
+//! take one label; `sample_every = "<duration>"` switches on the
+//! device-timeline sampler.
 //!
-//! # Topology
+//! # Topology, fleet and overrides
 //!
-//! `topology.interconnect = "pcie-gen3"` (or `"free"`, the default)
-//! selects the interconnect timing; individual
-//! `topology.<tier>_gbps`/`topology.<tier>_latency` keys override a
-//! tier's bandwidth (GB/s) or setup latency. Groups may set
-//! `working_set = "64MB"` (sizes take B/KB/MB/GB suffixes, powers of
-//! 1024) — the state charged against the interconnect when the group's
-//! members are placed or migrated.
+//! `topology.interconnect` (`"free"` or `"pcie-gen3"`) and
+//! `cluster.network` (`"free"` or `"25g"`) pick presets that the
+//! per-tier `topology.*` and the `cluster.latency`/`cluster.gbps` keys
+//! override. `hosts = N` runs N identical hosts; `[[host]]` blocks
+//! size heterogeneous ones (a lone block must agree with `devices`).
+//! `params.<field>` keys override [`SchedParams`] at top level, or in
+//! a `[[group]]` for the device it is pinned to (`device = <index>`
+//! required). `cost.<field>` keys override the [`CostModel`] at top
+//! level only: the cost model describes the simulated host, so a
+//! group that sets one is rejected with an error naming the key.
 //!
-//! # Fleet
+//! # Declaring a key
 //!
-//! `hosts = N` runs each cell as a fleet of `N` identical hosts (each
-//! with `devices` devices); `[[host]]` blocks (`devices = M`) size
-//! heterogeneous hosts instead (a lone `[[host]]` block must agree
-//! with `devices`). `fleet_placement` is a sweep axis
-//! (`"all"` or labels `"least-loaded"`, `"round-robin"`,
-//! `"fewest-tenants"`); `fleet_rebalance` is a single label (`"off"`,
-//! `"count-diff"`); `cluster.network = "25g"` (or `cluster.latency` /
-//! `cluster.gbps` overrides) prices cross-host migration — free when
-//! absent.
+//! Each key outside `[[group]]` is declared once, as a `(name,
+//! setter)` entry in its section's table: `ROOT` for top-level keys,
+//! `PARAMS`, `COST`, `TOPOLOGY`, `CLUSTER` and `FAULT_CONFIG` for the
+//! dotted families, `DEVICE` and `HOST` for those blocks, and
+//! `FAULT_KINDS` for each fault kind with the operand key it reads.
+//! The setter reads the key; the strict-key check, the "supported: …"
+//! list and the did-you-mean hint read the same entry. A new dotted
+//! family also needs a `ROOT` entry named after its prefix
+//! (`"params."`). Group keys live in `KNOWN_GROUP_KEYS` and the
+//! per-arm `WORKLOAD_ARM_KEYS`/`ARRIVAL_ARM_KEYS` tables. The labels
+//! of each sweep axis are one [`Labels`] constant in [`crate::labels`],
+//! shared with the `neon` CLI flags.
 //!
-//! # Overrides
+//! # Positivity
 //!
-//! `params.<field>` keys override [`SchedParams`] — at top level for
-//! every device, inside a `[[group]]` for the device the group is
-//! pinned to (`device = <index>` required; validation rejects unpinned
-//! group overrides instead of silently ignoring them). `cost.<field>`
-//! keys override the [`CostModel`] at top level only: the cost model
-//! describes the simulated host, so a per-group form does not exist
-//! and is rejected with an error naming the offending key.
+//! The loader rejects bandwidths that are not positive
+//! (`topology.*_gbps`, `cluster.gbps`), non-finite numbers, negative
+//! durations and sizes, and durations or sizes past 64 bits.
+//! [`ScenarioSpec::validate`] rejects a zero `horizon`,
+//! `sample_every`, `params.timeslice` or `params.freerun_min` (top
+//! level or per group), `cost.polling_period`, `fault.watchdog`,
+//! `fault.backoff_base` or `fault.backoff_cap`, a `[[device]]` with
+//! `ring = 0`, a zero `count`, `devices` or `hosts`, a zero
+//! exponential lifetime mean, and a poisson `rate_hz` that is not
+//! positive.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use neon_core::cost::{CostModel, SchedParams};
-use neon_core::fault::{FaultConfig, FaultEvent, FaultKind, FaultMode};
-use neon_core::fleet::{FleetPlacementKind, FleetRebalanceKind};
-use neon_core::placement::PlacementKind;
+use neon_core::fault::{FaultConfig, FaultEvent, FaultKind};
 use neon_core::rebalance::RebalanceKind;
-use neon_core::sched::SchedulerKind;
-use neon_core::telemetry::MetricsMode;
 use neon_gpu::{
     ClusterInterconnect, DeviceId, DeviceSlotSpec, GpuConfig, InterconnectParams, TaskId,
 };
-use neon_sim::SimDuration;
+use neon_sim::{SimDuration, SimTime};
 
+use crate::labels::{
+    unknown, Labels, FAULT_MODES, FLEET_PLACEMENTS, FLEET_REBALANCES, METRICS_MODES, PLACEMENTS,
+    REBALANCES, SCHEDULERS,
+};
 use crate::spec::{ArrivalSpec, LifetimeSpec, ScenarioSpec, SpecError, TenantGroup, WorkloadSpec};
 
 /// A scalar or flat-array TOML value.
@@ -95,31 +100,25 @@ pub enum Value {
 
 type Table = BTreeMap<String, Value>;
 
-/// `(root, group_tables, device_tables, host_tables, fault_tables)` as
-/// parsed from a scenario document, in source order.
-type Document = (Table, Vec<Table>, Vec<Table>, Vec<Table>, Vec<Table>);
+/// The `[[block]]` headers a document may use.
+const BLOCKS: [&str; 4] = ["group", "device", "host", "fault"];
+
+/// The root table plus each block kind's tables in source order,
+/// indexed like [`BLOCKS`].
+type Document = (Table, [Vec<Table>; 4]);
 
 fn parse_err(line_no: usize, msg: impl Into<String>) -> SpecError {
     SpecError(format!("line {}: {}", line_no, msg.into()))
 }
 
 /// Parses the supported TOML subset into a root table plus the
-/// ordered `[[group]]`, `[[device]]` and `[[host]]` tables.
+/// ordered block tables.
 fn parse_document(text: &str) -> Result<Document, SpecError> {
-    /// Which table subsequent `key = value` lines belong to.
-    enum Section {
-        Root,
-        Group,
-        Device,
-        Host,
-        Fault,
-    }
     let mut root = Table::new();
-    let mut groups: Vec<Table> = Vec::new();
-    let mut devices: Vec<Table> = Vec::new();
-    let mut hosts: Vec<Table> = Vec::new();
-    let mut faults: Vec<Table> = Vec::new();
-    let mut section = Section::Root;
+    let mut blocks: [Vec<Table>; 4] = Default::default();
+    // The block kind subsequent `key = value` lines belong to; `None`
+    // is the root table.
+    let mut section = None;
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = strip_comment(raw).trim().to_string();
@@ -127,33 +126,18 @@ fn parse_document(text: &str) -> Result<Document, SpecError> {
             continue;
         }
         if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-            match header.trim() {
-                "group" => {
-                    groups.push(Table::new());
-                    section = Section::Group;
-                }
-                "device" => {
-                    devices.push(Table::new());
-                    section = Section::Device;
-                }
-                "host" => {
-                    hosts.push(Table::new());
-                    section = Section::Host;
-                }
-                "fault" => {
-                    faults.push(Table::new());
-                    section = Section::Fault;
-                }
-                other => {
-                    return Err(parse_err(
-                        line_no,
-                        format!(
-                            "unsupported table array [[{other}]]; only [[group]], \
-                             [[device]], [[host]] and [[fault]]"
-                        ),
-                    ));
-                }
-            }
+            let header = header.trim();
+            let kind = BLOCKS.iter().position(|b| *b == header).ok_or_else(|| {
+                parse_err(
+                    line_no,
+                    format!(
+                        "unsupported table array [[{header}]]; only [[group]], \
+                         [[device]], [[host]] and [[fault]]"
+                    ),
+                )
+            })?;
+            blocks[kind].push(Table::new());
+            section = Some(kind);
             continue;
         }
         if line.starts_with('[') {
@@ -180,26 +164,15 @@ fn parse_document(text: &str) -> Result<Document, SpecError> {
             return Err(parse_err(line_no, format!("bad key {key:?}")));
         }
         let value = parse_value(value.trim(), line_no)?;
-        let table = match section {
-            Section::Root => &mut root,
-            // lint: allow(unchecked-unwrap) — Section::Group is only entered
-            // after pushing the matching group record
-            Section::Group => groups.last_mut().expect("group section implies a group"),
-            // lint: allow(unchecked-unwrap) — Section::Device is only entered
-            // after pushing the matching device record
-            Section::Device => devices.last_mut().expect("device section implies a device"),
-            // lint: allow(unchecked-unwrap) — Section::Host is only entered
-            // after pushing the matching host record
-            Section::Host => hosts.last_mut().expect("host section implies a host"),
-            // lint: allow(unchecked-unwrap) — Section::Fault is only entered
-            // after pushing the matching fault record
-            Section::Fault => faults.last_mut().expect("fault section implies a fault"),
-        };
+        // A block section always has its table: the header pushed it.
+        let table = section
+            .and_then(|kind| blocks[kind].last_mut())
+            .unwrap_or(&mut root);
         if table.insert(key.clone(), value).is_some() {
             return Err(parse_err(line_no, format!("duplicate key {key:?}")));
         }
     }
-    Ok((root, groups, devices, hosts, faults))
+    Ok((root, blocks))
 }
 
 /// Strips a `#` comment, respecting quoted strings.
@@ -281,21 +254,31 @@ fn split_array_items(body: &str) -> Vec<String> {
     items
 }
 
-/// Parses a byte-size literal with a unit suffix (`"512KB"`, `"64MB"`,
-/// `"2GB"`, bare `"4096B"`); units are powers of 1024.
-pub fn parse_size(s: &str) -> Result<u64, SpecError> {
-    let s = s.trim();
+/// Splits a literal like `"64MB"` into its non-negative number and its
+/// unit; `what` names the literal in errors and `units` lists the
+/// accepted units.
+fn split_unit<'s>(s: &'s str, what: &str, units: &str) -> Result<(f64, &'s str), SpecError> {
     let split = s
         .find(|c: char| c.is_ascii_alphabetic())
-        .ok_or_else(|| SpecError(format!("size {s:?} is missing a unit (B/KB/MB/GB)")))?;
+        .ok_or_else(|| SpecError(format!("{what} {s:?} is missing a unit ({units})")))?;
     let (num, unit) = s.split_at(split);
     let value: f64 = num
         .trim()
         .parse()
-        .map_err(|_| SpecError(format!("bad size number in {s:?}")))?;
+        .ok()
+        .filter(|v: &f64| !v.is_nan())
+        .ok_or_else(|| SpecError(format!("bad {what} number in {s:?}")))?;
     if value < 0.0 {
-        return Err(SpecError(format!("negative size {s:?}")));
+        return Err(SpecError(format!("negative {what} {s:?}")));
     }
+    Ok((value, unit))
+}
+
+/// Parses a byte-size literal with a unit suffix (`"512KB"`, `"64MB"`,
+/// `"2GB"`, bare `"4096B"`); units are powers of 1024.
+pub fn parse_size(s: &str) -> Result<u64, SpecError> {
+    let s = s.trim();
+    let (value, unit) = split_unit(s, "size", "B/KB/MB/GB")?;
     let scale: u64 = match unit {
         "B" => 1,
         "KB" | "KiB" => 1 << 10,
@@ -303,23 +286,18 @@ pub fn parse_size(s: &str) -> Result<u64, SpecError> {
         "GB" | "GiB" => 1 << 30,
         _ => return Err(SpecError(format!("unknown size unit {unit:?} in {s:?}"))),
     };
-    Ok((value * scale as f64) as u64)
+    let bytes = value * scale as f64;
+    // `as u64` would saturate and load as u64::MAX bytes.
+    if bytes >= u64::MAX as f64 {
+        return Err(SpecError(format!("size {s:?} overflows 64 bits")));
+    }
+    Ok(bytes as u64)
 }
 
 /// Parses a duration literal with a unit suffix (`"250us"`, `"2s"`).
 pub fn parse_duration(s: &str) -> Result<SimDuration, SpecError> {
     let s = s.trim();
-    let split = s
-        .find(|c: char| c.is_ascii_alphabetic())
-        .ok_or_else(|| SpecError(format!("duration {s:?} is missing a unit (ns/us/ms/s)")))?;
-    let (num, unit) = s.split_at(split);
-    let value: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| SpecError(format!("bad duration number in {s:?}")))?;
-    if value < 0.0 {
-        return Err(SpecError(format!("negative duration {s:?}")));
-    }
+    let (value, unit) = split_unit(s, "duration", "ns/us/ms/s")?;
     let micros = match unit {
         "ns" => value / 1_000.0,
         "us" => value,
@@ -345,16 +323,60 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, SpecError> {
 // Typed accessors
 // ----------------------------------------------------------------------
 
-fn get_str<'t>(t: &'t Table, key: &str) -> Result<Option<&'t str>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s)),
-        Some(other) => Err(SpecError(format!("{key} must be a string, got {other:?}"))),
+/// Reads `key` through `conv`; a value `conv` refuses is an error
+/// saying what the key must be.
+fn get<'t, V>(
+    t: &'t Table,
+    key: &str,
+    must_be: &str,
+    conv: impl FnOnce(&'t Value) -> Option<V>,
+) -> Result<Option<V>, SpecError> {
+    t.get(key)
+        .map(|v| conv(v).ok_or_else(|| SpecError(format!("{key} must be {must_be}, got {v:?}"))))
+        .transpose()
+}
+
+/// Reads a value or a flat array of values as a list.
+fn get_list<'t, V>(
+    t: &'t Table,
+    key: &str,
+    must_be: &str,
+    conv: impl Fn(&'t Value) -> Option<V>,
+) -> Result<Option<Vec<V>>, SpecError> {
+    let items = match t.get(key) {
+        None => return Ok(None),
+        Some(Value::Array(items)) => items.as_slice(),
+        Some(v) => std::slice::from_ref(v),
+    };
+    let item = |v| conv(v).ok_or_else(|| SpecError(format!("{key} must be {must_be}, got {v:?}")));
+    items.iter().map(item).collect::<Result<_, _>>().map(Some)
+}
+
+fn as_str(v: &Value) -> Option<&str> {
+    match v {
+        Value::Str(s) => Some(s),
+        _ => None,
     }
 }
 
+fn get_str<'t>(t: &'t Table, key: &str) -> Result<Option<&'t str>, SpecError> {
+    get(t, key, "a string", as_str)
+}
+
+/// Reads a string key through `parse`, naming the key in its errors.
+fn get_parsed<V>(
+    t: &Table,
+    key: &str,
+    parse: fn(&str) -> Result<V, SpecError>,
+) -> Result<Option<V>, SpecError> {
+    let named = |e: SpecError| SpecError(format!("{key}: {}", e.0));
+    get_str(t, key)?
+        .map(|s| parse(s).map_err(named))
+        .transpose()
+}
+
 fn get_duration(t: &Table, key: &str) -> Result<Option<SimDuration>, SpecError> {
-    get_str(t, key)?.map(parse_duration).transpose()
+    get_parsed(t, key, parse_duration)
 }
 
 fn require_duration(t: &Table, key: &str, what: &str) -> Result<SimDuration, SpecError> {
@@ -363,13 +385,10 @@ fn require_duration(t: &Table, key: &str, what: &str) -> Result<SimDuration, Spe
 }
 
 fn get_u64(t: &Table, key: &str) -> Result<Option<u64>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Int(v)) if *v >= 0 => Ok(Some(*v as u64)),
-        Some(other) => Err(SpecError(format!(
-            "{key} must be a non-negative integer, got {other:?}"
-        ))),
-    }
+    get(t, key, "a non-negative integer", |v| match v {
+        Value::Int(i) => u64::try_from(*i).ok(),
+        _ => None,
+    })
 }
 
 /// Like [`get_u64`] but range-checked to `u32`: a value like
@@ -377,620 +396,386 @@ fn get_u64(t: &Table, key: &str) -> Result<Option<u64>, SpecError> {
 /// by an `as u32` cast (which would, e.g., pin a group to the wrong
 /// GPU).
 fn get_u32(t: &Table, key: &str) -> Result<Option<u32>, SpecError> {
-    match get_u64(t, key)? {
-        None => Ok(None),
-        Some(v) => u32::try_from(v).map(Some).map_err(|_| {
+    let narrow = |v: u64| {
+        u32::try_from(v).map_err(|_| {
             SpecError(format!(
                 "{key} must fit in a 32-bit unsigned integer (0..={}), got {v}",
                 u32::MAX
             ))
-        }),
-    }
+        })
+    };
+    get_u64(t, key)?.map(narrow).transpose()
 }
 
 fn get_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Float(v)) if v.is_finite() => Ok(Some(*v)),
-        Some(Value::Int(v)) => Ok(Some(*v as f64)),
-        Some(other) => Err(SpecError(format!(
-            "{key} must be a finite number, got {other:?}"
-        ))),
-    }
+    get(t, key, "a finite number", |v| match v {
+        Value::Float(f) if f.is_finite() => Some(*f),
+        Value::Int(i) => Some(*i as f64),
+        _ => None,
+    })
 }
 
 fn get_bool(t: &Table, key: &str) -> Result<Option<bool>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Bool(v)) => Ok(Some(*v)),
-        Some(other) => Err(SpecError(format!(
-            "{key} must be true or false, got {other:?}"
-        ))),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Spec assembly
-// ----------------------------------------------------------------------
-
-fn schedulers_from(root: &Table) -> Result<Vec<SchedulerKind>, SpecError> {
-    match root.get("schedulers") {
-        None => Ok(SchedulerKind::ALL.to_vec()),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(SchedulerKind::ALL.to_vec()),
-            "paper" => Ok(SchedulerKind::PAPER.to_vec()),
-            other => SchedulerKind::from_label(other)
-                .map(|k| vec![k])
-                .ok_or_else(|| SpecError(format!("unknown scheduler {other:?}"))),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => SchedulerKind::from_label(s)
-                    .ok_or_else(|| SpecError(format!("unknown scheduler {s:?}"))),
-                other => Err(SpecError(format!(
-                    "scheduler labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "schedulers must be \"all\", \"paper\", a label, or an array; got {other:?}"
-        ))),
-    }
-}
-
-fn placements_from(root: &Table) -> Result<Vec<PlacementKind>, SpecError> {
-    let parse_label = |s: &str| {
-        PlacementKind::from_label(s)
-            .ok_or_else(|| SpecError(format!("unknown placement policy {s:?}")))
-    };
-    match root.get("placement") {
-        None => Ok(vec![PlacementKind::LeastLoaded]),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(PlacementKind::ALL.to_vec()),
-            other => parse_label(other).map(|k| vec![k]),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "placement labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "placement must be \"all\", a label, or an array; got {other:?}"
-        ))),
-    }
-}
-
-/// Applies `params.<field>` keys from `table` to `base`. Returns the
-/// result and whether any key was present.
-fn sched_params_from(table: &Table, base: &SchedParams) -> Result<(SchedParams, bool), SpecError> {
-    let mut params = base.clone();
-    let mut touched = false;
-    if let Some(v) = get_duration(table, "params.timeslice")? {
-        params.timeslice = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.sampling_max")? {
-        params.sampling_max = v;
-        touched = true;
-    }
-    if let Some(v) = get_u64(table, "params.sampling_requests")? {
-        params.sampling_requests = v;
-        touched = true;
-    }
-    if let Some(v) = get_u32(table, "params.freerun_multiplier")? {
-        params.freerun_multiplier = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.freerun_min")? {
-        params.freerun_min = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.freerun_max")? {
-        params.freerun_max = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.overlong_limit")? {
-        params.overlong_limit = v;
-        touched = true;
-    }
-    if let Some(v) = get_bool(table, "params.hardware_preemption")? {
-        params.hardware_preemption = v;
-        touched = true;
-    }
-    if let Some(stray) = table
-        .keys()
-        .find(|k| k.starts_with("params.") && !KNOWN_PARAM_KEYS.contains(&k.as_str()))
-    {
-        return Err(SpecError(format!(
-            "unknown sched-param override {stray:?} (supported: {})",
-            KNOWN_PARAM_KEYS.join(", ")
-        )));
-    }
-    Ok((params, touched))
-}
-
-const KNOWN_PARAM_KEYS: [&str; 8] = [
-    "params.timeslice",
-    "params.sampling_max",
-    "params.sampling_requests",
-    "params.freerun_multiplier",
-    "params.freerun_min",
-    "params.freerun_max",
-    "params.overlong_limit",
-    "params.hardware_preemption",
-];
-
-const KNOWN_COST_KEYS: [&str; 8] = [
-    "cost.direct_submit",
-    "cost.fault_intercept",
-    "cost.syscall_submit",
-    "cost.driver_processing",
-    "cost.completion_detect",
-    "cost.polling_period",
-    "cost.poll_scan",
-    "cost.kill_cleanup",
-];
-
-/// Applies top-level `cost.<field>` keys. Returns the model and
-/// whether any key was present.
-fn cost_from(root: &Table) -> Result<(CostModel, bool), SpecError> {
-    let mut cost = CostModel::default();
-    let mut touched = false;
-    let mut set = |slot: &mut SimDuration, key: &str| -> Result<(), SpecError> {
-        if let Some(v) = get_duration(root, key)? {
-            *slot = v;
-            touched = true;
-        }
-        Ok(())
-    };
-    set(&mut cost.direct_submit, "cost.direct_submit")?;
-    set(&mut cost.fault_intercept, "cost.fault_intercept")?;
-    set(&mut cost.syscall_submit, "cost.syscall_submit")?;
-    set(&mut cost.driver_processing, "cost.driver_processing")?;
-    set(&mut cost.completion_detect, "cost.completion_detect")?;
-    set(&mut cost.polling_period, "cost.polling_period")?;
-    set(&mut cost.poll_scan, "cost.poll_scan")?;
-    set(&mut cost.kill_cleanup, "cost.kill_cleanup")?;
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("cost.") && !KNOWN_COST_KEYS.contains(&k.as_str()))
-    {
-        return Err(SpecError(format!(
-            "unknown cost override {stray:?} (supported: {})",
-            KNOWN_COST_KEYS.join(", ")
-        )));
-    }
-    Ok((cost, touched))
-}
-
-const KNOWN_DEVICE_KEYS: [&str; 7] = [
-    "channels",
-    "contexts",
-    "ring",
-    "context_switch",
-    "graphics_cooldown",
-    "numa",
-    "switch",
-];
-
-/// Builds one heterogeneous device slot from a `[[device]]` table.
-fn device_slot_from(d: &Table, index: usize) -> Result<DeviceSlotSpec, SpecError> {
-    if let Some(stray) = d.keys().find(|k| !KNOWN_DEVICE_KEYS.contains(&k.as_str())) {
-        return Err(SpecError(format!(
-            "device {index}: unknown key {stray:?} (supported: {})",
-            KNOWN_DEVICE_KEYS.join(", ")
-        )));
-    }
-    let mut config = GpuConfig::default();
-    if let Some(v) = get_u64(d, "channels")? {
-        config.total_channels = v as usize;
-    }
-    if let Some(v) = get_u64(d, "contexts")? {
-        config.total_contexts = v as usize;
-    }
-    if let Some(v) = get_u64(d, "ring")? {
-        config.ring_capacity = v as usize;
-    }
-    if let Some(v) = get_duration(d, "context_switch")? {
-        config.context_switch = v;
-    }
-    if let Some(v) = get_duration(d, "graphics_cooldown")? {
-        config.graphics_cooldown = v;
-    }
-    Ok(DeviceSlotSpec {
-        config,
-        numa: get_u32(d, "numa")?.unwrap_or(0),
-        switch_id: get_u32(d, "switch")?.unwrap_or(0),
+    get(t, key, "true or false", |v| match v {
+        Value::Bool(b) => Some(*b),
+        _ => None,
     })
 }
 
 // One GB/s = 2^30 bytes per 10^6 µs ≈ 1074 bytes/µs.
 const BPUS_PER_GBPS: f64 = (1u64 << 30) as f64 / 1e6;
 
-const KNOWN_TOPOLOGY_KEYS: [&str; 7] = [
-    "topology.interconnect",
-    "topology.same_switch_gbps",
-    "topology.cross_pcie_gbps",
-    "topology.cross_numa_gbps",
-    "topology.same_switch_latency",
-    "topology.cross_pcie_latency",
-    "topology.cross_numa_latency",
-];
-
-/// Applies top-level `topology.*` keys. Returns the interconnect and
-/// whether any key was present.
-fn interconnect_from(root: &Table) -> Result<(InterconnectParams, bool), SpecError> {
-    let mut touched = false;
-    let mut params = match get_str(root, "topology.interconnect")? {
-        None => InterconnectParams::free(),
-        Some("free") => {
-            touched = true;
-            InterconnectParams::free()
-        }
-        Some("pcie-gen3") => {
-            touched = true;
-            InterconnectParams::pcie_gen3()
-        }
-        Some(other) => {
-            return Err(SpecError(format!(
-                "unknown interconnect {other:?} (supported: free, pcie-gen3)"
-            )))
-        }
-    };
-    let mut set_bw = |slot: &mut f64, key: &str| -> Result<(), SpecError> {
-        if let Some(v) = get_f64(root, key)? {
-            if v <= 0.0 {
-                return Err(SpecError(format!("{key} must be positive, got {v}")));
-            }
-            *slot = v * BPUS_PER_GBPS;
-            touched = true;
-        }
-        Ok(())
-    };
-    set_bw(&mut params.same_switch_bpus, "topology.same_switch_gbps")?;
-    set_bw(&mut params.cross_pcie_bpus, "topology.cross_pcie_gbps")?;
-    set_bw(&mut params.cross_numa_bpus, "topology.cross_numa_gbps")?;
-    let mut set_lat = |slot: &mut SimDuration, key: &str| -> Result<(), SpecError> {
-        if let Some(v) = get_duration(root, key)? {
-            *slot = v;
-            touched = true;
-        }
-        Ok(())
-    };
-    set_lat(
-        &mut params.same_switch_latency,
-        "topology.same_switch_latency",
-    )?;
-    set_lat(
-        &mut params.cross_pcie_latency,
-        "topology.cross_pcie_latency",
-    )?;
-    set_lat(
-        &mut params.cross_numa_latency,
-        "topology.cross_numa_latency",
-    )?;
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("topology.") && !KNOWN_TOPOLOGY_KEYS.contains(&k.as_str()))
-    {
-        return Err(SpecError(format!(
-            "unknown topology key {stray:?} (supported: {})",
-            KNOWN_TOPOLOGY_KEYS.join(", ")
-        )));
+/// A positive bandwidth written in GB/s, in bytes per µs.
+fn get_gbps(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
+    match get_f64(t, key)? {
+        Some(v) if v <= 0.0 => Err(SpecError(format!("{key} must be positive, got {v}"))),
+        v => Ok(v.map(|v| v * BPUS_PER_GBPS)),
     }
-    Ok((params, touched))
 }
 
-const KNOWN_FAULT_KEYS: [&str; 5] = ["at", "kind", "device", "task", "host"];
+// ----------------------------------------------------------------------
+// Key declarations
+// ----------------------------------------------------------------------
 
-/// Fault kinds a `[[fault]]` block accepts, with the operand key each
-/// one reads.
-const FAULT_KIND_LABELS: [&str; 7] = [
-    "device-remove",
-    "device-add",
-    "hang",
-    "crash",
-    "submit-error",
-    "host-fail",
-    "host-recover",
+/// How a declared key reads its value into a field of `T`. The typed
+/// arms point at the field; `With` runs its own reader (a preset, a
+/// sweep axis, an optional field). A setter leaves its field alone
+/// when the key is absent.
+enum Slot<T> {
+    Duration(fn(&mut T) -> &mut SimDuration),
+    U32(fn(&mut T) -> &mut u32),
+    U64(fn(&mut T) -> &mut u64),
+    Usize(fn(&mut T) -> &mut usize),
+    Bool(fn(&mut T) -> &mut bool),
+    /// A bandwidth in GB/s, stored in bytes per µs.
+    Gbps(fn(&mut T) -> &mut f64),
+    With(fn(&mut T, &Table, &'static str) -> Result<(), SpecError>),
+}
+
+/// One declared key: its full name and the setter that reads it.
+type Key<T> = (&'static str, Slot<T>);
+
+/// Stores `value` in `slot` when there is one.
+fn put<V>(slot: &mut V, value: Option<V>) -> Result<(), SpecError> {
+    if let Some(v) = value {
+        *slot = v;
+    }
+    Ok(())
+}
+
+/// Runs one key's setter on `target`.
+fn set<T>(target: &mut T, table: &Table, (key, slot): &Key<T>) -> Result<(), SpecError> {
+    match slot {
+        Slot::Duration(f) => put(f(target), get_duration(table, key)?),
+        Slot::U32(f) => put(f(target), get_u32(table, key)?),
+        Slot::U64(f) => put(f(target), get_u64(table, key)?),
+        Slot::Usize(f) => put(f(target), get_u64(table, key)?.map(|v| v as usize)),
+        Slot::Bool(f) => put(f(target), get_bool(table, key)?),
+        Slot::Gbps(f) => put(f(target), get_gbps(table, key)?),
+        Slot::With(f) => f(target, table, key),
+    }
+}
+
+/// The declared keys of one dotted family or block table.
+struct Family<T: 'static> {
+    /// What the error calls a key the family does not declare.
+    stray: &'static str,
+    keys: &'static [Key<T>],
+}
+
+impl<T: Clone> Family<T> {
+    /// The family's key prefix (`"params."`); empty for a block, whose
+    /// table holds only its own keys.
+    fn prefix(&self) -> &'static str {
+        let first = self.keys[0].0;
+        first.find('.').map_or("", |dot| &first[..=dot])
+    }
+
+    /// Applies the family's keys in `table` to a copy of `base`: `None`
+    /// when `table` sets none of them. A key under the family's prefix
+    /// that it does not declare is an error.
+    fn apply(&self, table: &Table, base: &T) -> Result<Option<T>, SpecError> {
+        let prefix = self.prefix();
+        let mut present = table.keys().filter(|k| k.starts_with(prefix)).peekable();
+        if present.peek().is_none() {
+            return Ok(None);
+        }
+        reject_strays(present, self.keys.iter().map(|k| k.0), self.stray)?;
+        let mut out = base.clone();
+        for key in self.keys {
+            set(&mut out, table, key)?;
+        }
+        Ok(Some(out))
+    }
+
+    /// [`Family::apply`] for a block: an empty block is `base`.
+    fn read(&self, table: &Table, base: &T) -> Result<T, SpecError> {
+        Ok(self.apply(table, base)?.unwrap_or_else(|| base.clone()))
+    }
+}
+
+/// Replaces `target` with the preset the `key` label names.
+fn preset<T, const N: usize>(
+    target: &mut T,
+    t: &Table,
+    key: &str,
+    what: &str,
+    presets: [(&str, T); N],
+) -> Result<(), SpecError> {
+    let Some(label) = get_str(t, key)? else {
+        return Ok(());
+    };
+    let names: Vec<&str> = presets.iter().map(|p| p.0).collect();
+    let (_, value) = presets
+        .into_iter()
+        .find(|p| p.0 == label)
+        .ok_or_else(|| unknown(what, label, names))?;
+    *target = value;
+    Ok(())
+}
+
+/// Top-level keys. An entry named after a prefix (`"params."`) applies
+/// that dotted family; the family checks its own members.
+#[rustfmt::skip]
+const ROOT: [Key<ScenarioSpec>; 18] = [
+    ("name", Slot::With(|s, t, k| put(&mut s.name, get_str(t, k)?.map(str::to_string)))),
+    ("horizon", Slot::With(|s, t, k| {
+        put(&mut s.horizon, Some(require_duration(t, k, "scenario")?))
+    })),
+    ("seeds", Slot::With(|s, t, k| put(&mut s.seeds, get_seeds(t, k)?))),
+    ("schedulers", Slot::With(|s, t, k| {
+        put(&mut s.schedulers, get_labels(t, k, &SCHEDULERS)?)
+    })),
+    ("devices", Slot::Usize(|s| &mut s.devices)),
+    ("hosts", Slot::Usize(|s| &mut s.hosts)),
+    ("placement", Slot::With(|s, t, k| {
+        put(&mut s.placements, get_labels(t, k, &PLACEMENTS)?)
+    })),
+    ("fleet_placement", Slot::With(|s, t, k| {
+        put(&mut s.fleet_placements, get_labels(t, k, &FLEET_PLACEMENTS)?)
+    })),
+    ("fleet_rebalance", Slot::With(|s, t, k| {
+        put(&mut s.fleet_rebalance, get_label(t, k, &FLEET_REBALANCES)?)
+    })),
+    ("rebalance", Slot::With(rebalances_from)),
+    ("faults", Slot::With(|s, t, k| put(&mut s.fault_modes, get_labels(t, k, &FAULT_MODES)?))),
+    ("metrics", Slot::With(|s, t, k| put(&mut s.metrics, get_label(t, k, &METRICS_MODES)?))),
+    ("sample_every", Slot::With(|s, t, k| {
+        put(&mut s.sample_every, get_duration(t, k)?.map(Some))
+    })),
+    ("params.", Slot::With(|s, t, _| {
+        PARAMS.apply(t, &SchedParams::default()).map(|p| s.params = p)
+    })),
+    ("cost.", Slot::With(|s, t, _| COST.apply(t, &CostModel::default()).map(|c| s.cost = c))),
+    ("topology.", Slot::With(|s, t, _| {
+        TOPOLOGY.apply(t, &InterconnectParams::free()).map(|i| s.interconnect = i)
+    })),
+    ("cluster.", Slot::With(|s, t, _| {
+        CLUSTER.apply(t, &ClusterInterconnect::free()).map(|c| s.cluster = c)
+    })),
+    ("fault.", Slot::With(|s, t, _| {
+        put(&mut s.fault_config, FAULT_CONFIG.apply(t, &FaultConfig::default())?)
+    })),
+];
+
+/// `params.<field>` overrides of [`SchedParams`], at top level and in
+/// pinned groups.
+#[rustfmt::skip]
+const PARAMS: Family<SchedParams> = Family {
+    stray: "sched-param override",
+    keys: &[
+        ("params.timeslice", Slot::Duration(|p| &mut p.timeslice)),
+        ("params.sampling_max", Slot::Duration(|p| &mut p.sampling_max)),
+        ("params.sampling_requests", Slot::U64(|p| &mut p.sampling_requests)),
+        ("params.freerun_multiplier", Slot::U32(|p| &mut p.freerun_multiplier)),
+        ("params.freerun_min", Slot::Duration(|p| &mut p.freerun_min)),
+        ("params.freerun_max", Slot::Duration(|p| &mut p.freerun_max)),
+        ("params.overlong_limit", Slot::Duration(|p| &mut p.overlong_limit)),
+        ("params.hardware_preemption", Slot::Bool(|p| &mut p.hardware_preemption)),
+    ],
+};
+
+/// `cost.<field>` overrides of the host [`CostModel`].
+#[rustfmt::skip]
+const COST: Family<CostModel> = Family {
+    stray: "cost override",
+    keys: &[
+        ("cost.direct_submit", Slot::Duration(|c| &mut c.direct_submit)),
+        ("cost.fault_intercept", Slot::Duration(|c| &mut c.fault_intercept)),
+        ("cost.syscall_submit", Slot::Duration(|c| &mut c.syscall_submit)),
+        ("cost.driver_processing", Slot::Duration(|c| &mut c.driver_processing)),
+        ("cost.completion_detect", Slot::Duration(|c| &mut c.completion_detect)),
+        ("cost.polling_period", Slot::Duration(|c| &mut c.polling_period)),
+        ("cost.poll_scan", Slot::Duration(|c| &mut c.poll_scan)),
+        ("cost.kill_cleanup", Slot::Duration(|c| &mut c.kill_cleanup)),
+    ],
+};
+
+/// `topology.*`: an interconnect preset, then per-tier overrides.
+#[rustfmt::skip]
+const TOPOLOGY: Family<InterconnectParams> = Family {
+    stray: "topology key",
+    keys: &[
+        ("topology.interconnect", Slot::With(|p, t, k| preset(p, t, k, "interconnect", [
+            ("free", InterconnectParams::free()),
+            ("pcie-gen3", InterconnectParams::pcie_gen3()),
+        ]))),
+        ("topology.same_switch_gbps", Slot::Gbps(|p| &mut p.same_switch_bpus)),
+        ("topology.cross_pcie_gbps", Slot::Gbps(|p| &mut p.cross_pcie_bpus)),
+        ("topology.cross_numa_gbps", Slot::Gbps(|p| &mut p.cross_numa_bpus)),
+        ("topology.same_switch_latency", Slot::Duration(|p| &mut p.same_switch_latency)),
+        ("topology.cross_pcie_latency", Slot::Duration(|p| &mut p.cross_pcie_latency)),
+        ("topology.cross_numa_latency", Slot::Duration(|p| &mut p.cross_numa_latency)),
+    ],
+};
+
+/// `cluster.*`: host-to-host transfer timing, a preset then overrides.
+#[rustfmt::skip]
+const CLUSTER: Family<ClusterInterconnect> = Family {
+    stray: "cluster key",
+    keys: &[
+        ("cluster.network", Slot::With(|c, t, k| preset(c, t, k, "cluster network", [
+            ("free", ClusterInterconnect::free()),
+            ("25g", ClusterInterconnect::network_25g()),
+        ]))),
+        ("cluster.latency", Slot::Duration(|c| &mut c.latency)),
+        ("cluster.gbps", Slot::Gbps(|c| &mut c.bpus)),
+    ],
+};
+
+/// `fault.*` recovery tuning. Positivity of the durations is enforced
+/// by [`neon_core::fault::FaultPlan::validate`] during spec
+/// validation, with the same key names in the message.
+#[rustfmt::skip]
+const FAULT_CONFIG: Family<FaultConfig> = Family {
+    stray: "fault key",
+    keys: &[
+        ("fault.watchdog", Slot::With(|c, t, k| {
+            put(&mut c.watchdog, get_duration(t, k)?.map(Some))
+        })),
+        ("fault.retry_budget", Slot::U32(|c| &mut c.retry_budget)),
+        ("fault.backoff_base", Slot::Duration(|c| &mut c.backoff_base)),
+        ("fault.backoff_cap", Slot::Duration(|c| &mut c.backoff_cap)),
+        ("fault.max_park_retries", Slot::U32(|c| &mut c.max_park_retries)),
+    ],
+};
+
+/// A `[[device]]` block: one heterogeneous device slot.
+#[rustfmt::skip]
+const DEVICE: Family<DeviceSlotSpec> = Family {
+    stray: "key",
+    keys: &[
+        ("channels", Slot::Usize(|d| &mut d.config.total_channels)),
+        ("contexts", Slot::Usize(|d| &mut d.config.total_contexts)),
+        ("ring", Slot::Usize(|d| &mut d.config.ring_capacity)),
+        ("context_switch", Slot::Duration(|d| &mut d.config.context_switch)),
+        ("graphics_cooldown", Slot::Duration(|d| &mut d.config.graphics_cooldown)),
+        ("numa", Slot::U32(|d| &mut d.numa)),
+        ("switch", Slot::U32(|d| &mut d.switch_id)),
+    ],
+};
+
+/// A `[[host]]` block: one heterogeneous host's device count.
+const HOST: Family<usize> = Family {
+    stray: "key",
+    keys: &[("devices", Slot::Usize(|d| d))],
+};
+
+/// Builds a fault kind from the kind's operand; `None` when a required
+/// operand is missing.
+type FaultCtor = fn(Option<u32>) -> Option<FaultKind>;
+
+/// `[[fault]]` kinds: `(label, operand key, constructor)`. Device and
+/// host kinds require their operand; for task kinds an absent `task`
+/// means "the oldest live task at injection time".
+#[rustfmt::skip]
+const FAULT_KINDS: [(&str, &str, FaultCtor); 7] = [
+    ("device-remove", "device", |d| Some(FaultKind::DeviceRemove { device: DeviceId::new(d?) })),
+    ("device-add", "device", |d| Some(FaultKind::DeviceAdd { device: DeviceId::new(d?) })),
+    ("hang", "task", |t| Some(FaultKind::TaskHang { task: t.map(TaskId::new) })),
+    ("crash", "task", |t| Some(FaultKind::TaskCrash { task: t.map(TaskId::new) })),
+    ("submit-error", "task", |t| Some(FaultKind::SubmitError { task: t.map(TaskId::new) })),
+    ("host-fail", "host", |h| Some(FaultKind::HostFail { host: h? })),
+    ("host-recover", "host", |h| Some(FaultKind::HostRecover { host: h? })),
 ];
 
 /// Builds one scheduled fault from a `[[fault]]` table:
-/// `at = "<duration>"` plus `kind = "<label>"` and the kind's operand
-/// (`device = N` for device kinds, `host = N` for host kinds, optional
-/// `task = N` for task kinds — absent means "the oldest live task at
-/// injection time").
-fn fault_from(f: &Table, index: usize) -> Result<(SimDuration, FaultKind), SpecError> {
-    let ctx = |msg: String| SpecError(format!("fault[{index}]: {msg}"));
-    if let Some(stray) = f.keys().find(|k| !KNOWN_FAULT_KEYS.contains(&k.as_str())) {
-        let hint = did_you_mean(stray, KNOWN_FAULT_KEYS.iter().copied());
-        return Err(ctx(format!(
-            "unknown key {stray:?} (supported: {}){hint}",
-            KNOWN_FAULT_KEYS.join(", ")
-        )));
-    }
-    let at = require_duration(f, "at", "a [[fault]] block").map_err(|e| ctx(e.0))?;
-    let kind_label = get_str(f, "kind")?.ok_or_else(|| {
-        ctx(format!(
+/// `at = "<duration>"`, `kind = "<label>"` and the operand that kind
+/// reads.
+fn fault_from(f: &Table) -> Result<FaultEvent, SpecError> {
+    let operands = FAULT_KINDS.iter().map(|k| k.1);
+    let mut known = vec!["at", "kind"];
+    known.extend(operands.clone());
+    known.dedup();
+    reject_strays(f.keys(), known.into_iter(), "key")?;
+    let at = require_duration(f, "at", "a [[fault]] block")?;
+    let labels = FAULT_KINDS.iter().map(|k| k.0);
+    let label = get_str(f, "kind")?.ok_or_else(|| {
+        SpecError(format!(
             "requires kind = \"<{}>\"",
-            FAULT_KIND_LABELS.join("|")
+            labels.clone().collect::<Vec<_>>().join("|")
         ))
     })?;
-    let device = || -> Result<DeviceId, SpecError> {
-        get_u32(f, "device")?
-            .map(DeviceId::new)
-            .ok_or_else(|| ctx(format!("kind = {kind_label:?} requires device = <index>")))
-    };
-    let host = || -> Result<u32, SpecError> {
-        get_u32(f, "host")?
-            .ok_or_else(|| ctx(format!("kind = {kind_label:?} requires host = <index>")))
-    };
-    let task = get_u32(f, "task")?.map(TaskId::new);
-    let reject_operand = |key: &str| -> Result<(), SpecError> {
-        if f.contains_key(key) {
-            return Err(ctx(format!(
-                "kind = {kind_label:?} does not take {key:?}; remove it"
-            )));
-        }
-        Ok(())
-    };
-    let kind = match kind_label {
-        "device-remove" => {
-            reject_operand("task")?;
-            reject_operand("host")?;
-            FaultKind::DeviceRemove { device: device()? }
-        }
-        "device-add" => {
-            reject_operand("task")?;
-            reject_operand("host")?;
-            FaultKind::DeviceAdd { device: device()? }
-        }
-        "hang" => {
-            reject_operand("device")?;
-            reject_operand("host")?;
-            FaultKind::TaskHang { task }
-        }
-        "crash" => {
-            reject_operand("device")?;
-            reject_operand("host")?;
-            FaultKind::TaskCrash { task }
-        }
-        "submit-error" => {
-            reject_operand("device")?;
-            reject_operand("host")?;
-            FaultKind::SubmitError { task }
-        }
-        "host-fail" => {
-            reject_operand("device")?;
-            reject_operand("task")?;
-            FaultKind::HostFail { host: host()? }
-        }
-        "host-recover" => {
-            reject_operand("device")?;
-            reject_operand("task")?;
-            FaultKind::HostRecover { host: host()? }
-        }
-        other => {
-            let hint = did_you_mean(other, FAULT_KIND_LABELS.iter().copied());
-            return Err(ctx(format!(
-                "unknown fault kind {other:?} (supported: {}){hint}",
-                FAULT_KIND_LABELS.join(", ")
-            )));
-        }
-    };
-    Ok((at, kind))
-}
-
-const KNOWN_FAULT_CONFIG_KEYS: [&str; 5] = [
-    "fault.watchdog",
-    "fault.retry_budget",
-    "fault.backoff_base",
-    "fault.backoff_cap",
-    "fault.max_park_retries",
-];
-
-/// Applies top-level `fault.*` recovery-tuning keys. Returns the
-/// config and whether any key was present. Positivity of the durations
-/// is enforced by [`neon_core::fault::FaultPlan::validate`] during
-/// spec validation, with the same key names in the message.
-fn fault_config_from(root: &Table) -> Result<(FaultConfig, bool), SpecError> {
-    let mut config = FaultConfig::default();
-    let mut touched = false;
-    if let Some(v) = get_duration(root, "fault.watchdog")? {
-        config.watchdog = Some(v);
-        touched = true;
-    }
-    if let Some(v) = get_u32(root, "fault.retry_budget")? {
-        config.retry_budget = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(root, "fault.backoff_base")? {
-        config.backoff_base = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(root, "fault.backoff_cap")? {
-        config.backoff_cap = v;
-        touched = true;
-    }
-    if let Some(v) = get_u32(root, "fault.max_park_retries")? {
-        config.max_park_retries = v;
-        touched = true;
-    }
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("fault.") && !KNOWN_FAULT_CONFIG_KEYS.contains(&k.as_str()))
-    {
-        let hint = did_you_mean(stray, KNOWN_FAULT_CONFIG_KEYS.iter().copied());
-        return Err(SpecError(format!(
-            "unknown fault key {stray:?} (supported: {}){hint}",
-            KNOWN_FAULT_CONFIG_KEYS.join(", ")
-        )));
-    }
-    Ok((config, touched))
-}
-
-/// Parses the `faults` sweep axis: `"all"`, a mode label (`"none"`,
-/// `"device"`, `"task"`, `"host"`), or an array of labels. Absent
-/// means "derive from the schedule" — scenarios with `[[fault]]`
-/// blocks or `fault.*` tuning run `"all"`, everything else `"none"`.
-fn fault_modes_from(root: &Table) -> Result<Vec<FaultMode>, SpecError> {
-    let parse_label = |s: &str| {
-        FaultMode::parse(s).ok_or_else(|| {
-            let hint = did_you_mean(s, FaultMode::ALL.iter().map(|m| m.label()));
-            SpecError(format!("unknown fault mode {s:?}{hint}"))
-        })
-    };
-    match root.get("faults") {
-        None => Ok(Vec::new()),
-        Some(Value::Str(s)) => parse_label(s).map(|m| vec![m]),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "fault mode labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "faults must be \"all\", a mode label, or an array; got {other:?}"
-        ))),
-    }
-}
-
-const KNOWN_HOST_KEYS: [&str; 1] = ["devices"];
-
-/// Builds one heterogeneous host's device count from a `[[host]]`
-/// table.
-fn host_from(h: &Table, index: usize) -> Result<usize, SpecError> {
-    if let Some(stray) = h.keys().find(|k| !KNOWN_HOST_KEYS.contains(&k.as_str())) {
-        return Err(SpecError(format!(
-            "host {index}: unknown key {stray:?} (supported: {})",
-            KNOWN_HOST_KEYS.join(", ")
-        )));
-    }
-    Ok(get_u64(h, "devices")?.unwrap_or(1) as usize)
-}
-
-fn fleet_placements_from(root: &Table) -> Result<Vec<FleetPlacementKind>, SpecError> {
-    let parse_label = |s: &str| {
-        FleetPlacementKind::from_label(s)
-            .ok_or_else(|| SpecError(format!("unknown fleet placement policy {s:?}")))
-    };
-    match root.get("fleet_placement") {
-        None => Ok(vec![FleetPlacementKind::LeastLoaded]),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(FleetPlacementKind::ALL.to_vec()),
-            other => parse_label(other).map(|k| vec![k]),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "fleet placement labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "fleet_placement must be \"all\", a label, or an array; got {other:?}"
-        ))),
-    }
-}
-
-const KNOWN_CLUSTER_KEYS: [&str; 3] = ["cluster.network", "cluster.latency", "cluster.gbps"];
-
-/// Applies top-level `cluster.*` keys (host-to-host transfer timing).
-/// Returns the interconnect and whether any key was present.
-fn cluster_from(root: &Table) -> Result<(ClusterInterconnect, bool), SpecError> {
-    let mut touched = false;
-    let mut cluster = match get_str(root, "cluster.network")? {
-        None => ClusterInterconnect::free(),
-        Some("free") => {
-            touched = true;
-            ClusterInterconnect::free()
-        }
-        Some("25g") => {
-            touched = true;
-            ClusterInterconnect::network_25g()
-        }
-        Some(other) => {
-            return Err(SpecError(format!(
-                "unknown cluster network {other:?} (supported: free, 25g)"
-            )))
-        }
-    };
-    if let Some(v) = get_duration(root, "cluster.latency")? {
-        cluster.latency = v;
-        touched = true;
-    }
-    if let Some(v) = get_f64(root, "cluster.gbps")? {
-        if v <= 0.0 {
-            return Err(SpecError(format!("cluster.gbps must be positive, got {v}")));
-        }
-        cluster.bpus = v * BPUS_PER_GBPS;
-        touched = true;
-    }
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("cluster.") && !KNOWN_CLUSTER_KEYS.contains(&k.as_str()))
+    let &(_, operand, make) = FAULT_KINDS
+        .iter()
+        .find(|k| k.0 == label)
+        .ok_or_else(|| unknown("fault kind", label, labels))?;
+    if let Some(other) = operands
+        .filter(|k| *k != operand)
+        .find(|k| f.contains_key(*k))
     {
         return Err(SpecError(format!(
-            "unknown cluster key {stray:?} (supported: {})",
-            KNOWN_CLUSTER_KEYS.join(", ")
+            "kind = {label:?} does not take {other:?}; remove it"
         )));
     }
-    Ok((cluster, touched))
+    let kind = make(get_u32(f, operand)?)
+        .ok_or_else(|| SpecError(format!("kind = {label:?} requires {operand} = <index>")))?;
+    Ok(FaultEvent {
+        at: SimTime::ZERO + at,
+        kind,
+    })
 }
 
-fn rebalances_from(root: &Table) -> Result<Vec<RebalanceKind>, SpecError> {
-    let parse_label = |s: &str| {
-        RebalanceKind::from_label(s)
-            .ok_or_else(|| SpecError(format!("unknown rebalance policy {s:?}")))
-    };
-    match root.get("rebalance") {
-        None => Ok(vec![RebalanceKind::Off]),
-        // Legacy toggle: true was the count-diff heuristic.
-        Some(Value::Bool(on)) => Ok(vec![RebalanceKind::from_legacy_bool(*on)]),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(RebalanceKind::ALL.to_vec()),
-            other => parse_label(other).map(|k| vec![k]),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "rebalance labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "rebalance must be \"all\", a label, an array, or a legacy boolean; got {other:?}"
-        ))),
-    }
+/// Reads a label axis: a string is a one-item list.
+fn get_labels<T: Copy + Display>(
+    t: &Table,
+    key: &str,
+    labels: &Labels<T>,
+) -> Result<Option<Vec<T>>, SpecError> {
+    get_list(t, key, "a label or an array of labels", as_str)?
+        .map(|items| labels.parse_list(items))
+        .transpose()
 }
 
-fn seeds_from(root: &Table) -> Result<Vec<u64>, SpecError> {
-    match root.get("seeds") {
-        None => Ok(vec![0xA5D0]),
-        Some(Value::Int(v)) if *v >= 0 => Ok(vec![*v as u64]),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Int(i) if *i >= 0 => Ok(*i as u64),
-                other => Err(SpecError(format!("seeds must be integers, got {other:?}"))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "seeds must be an integer array, got {other:?}"
-        ))),
+/// Reads a single-label key.
+fn get_label<T: Copy + Display>(
+    t: &Table,
+    key: &str,
+    labels: &Labels<T>,
+) -> Result<Option<T>, SpecError> {
+    get_str(t, key)?.map(|s| labels.parse_one(s)).transpose()
+}
+
+/// The `rebalance` axis, which also takes the legacy boolean toggle
+/// (noted as a compatibility spelling).
+fn rebalances_from(s: &mut ScenarioSpec, t: &Table, key: &'static str) -> Result<(), SpecError> {
+    if let Some(Value::Bool(on)) = t.get(key) {
+        s.rebalances = vec![RebalanceKind::from_legacy_bool(*on)];
+        s.compat_notes.push(
+            "rebalance takes a policy label; the boolean form is legacy \
+             (true → \"count-diff\", false → \"off\")"
+                .to_string(),
+        );
+        return Ok(());
     }
+    put(&mut s.rebalances, get_labels(t, key, &REBALANCES)?)
+}
+
+fn get_seeds(t: &Table, key: &str) -> Result<Option<Vec<u64>>, SpecError> {
+    get_list(t, key, "non-negative integers", |v| match v {
+        Value::Int(i) => u64::try_from(*i).ok(),
+        _ => None,
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -1002,37 +787,10 @@ fn seeds_from(root: &Table) -> Result<Vec<u64>, SpecError> {
 // silent no-op. (`warmup_rounds` on a throttle group used to parse and
 // do nothing — exactly the failure mode this closes.)
 
-/// Top-level scalar keys.
-const KNOWN_ROOT_KEYS: [&str; 13] = [
-    "name",
-    "horizon",
-    "seeds",
-    "schedulers",
-    "devices",
-    "hosts",
-    "placement",
-    "fleet_placement",
-    "fleet_rebalance",
-    "rebalance",
-    "faults",
-    "metrics",
-    "sample_every",
-];
-
-/// Dotted-key families the root table accepts; each family's member
-/// keys are validated by its own loader (`sched_params_from` etc.).
-const KNOWN_ROOT_FAMILIES: [&str; 5] = ["params", "cost", "topology", "cluster", "fault"];
-
 /// Group keys that are valid for every workload/arrival combination.
-const KNOWN_GROUP_KEYS: [&str; 7] = [
-    "name",
-    "count",
-    "workload",
-    "arrival",
-    "lifetime",
-    "device",
-    "working_set",
-];
+#[rustfmt::skip]
+const KNOWN_GROUP_KEYS: [&str; 7] =
+    ["name", "count", "workload", "arrival", "lifetime", "device", "working_set"];
 
 /// `(workload kind, keys only that arm reads)`.
 const WORKLOAD_ARM_KEYS: [(&str, &[&str]); 6] = [
@@ -1052,59 +810,40 @@ const ARRIVAL_ARM_KEYS: [(&str, &[&str]); 4] = [
     ("poisson", &["rate_hz", "arrival_start"]),
 ];
 
-/// Levenshtein edit distance, for "did you mean" hints.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut cur = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
+/// Rejects the first of `keys` that `known` does not list.
+fn reject_strays<'k>(
+    mut keys: impl Iterator<Item = &'k String>,
+    known: impl Iterator<Item = &'static str> + Clone,
+    stray: &str,
+) -> Result<(), SpecError> {
+    match keys.find(|k| !known.clone().any(|n| n == k.as_str())) {
+        Some(k) => Err(unknown(stray, k, known)),
+        None => Ok(()),
     }
-    prev[b.len()]
 }
 
-/// The closest candidate within edit distance 2, rendered as a
-/// `; did you mean "x"?` suffix (empty when nothing is close).
-fn did_you_mean<'a>(key: &str, candidates: impl Iterator<Item = &'a str>) -> String {
-    candidates
-        .map(|c| (edit_distance(key, c), c))
-        .filter(|(d, _)| *d <= 2)
-        .min()
-        .map(|(_, c)| format!("; did you mean {c:?}?"))
-        .unwrap_or_default()
-}
-
-/// Workload arms (other than `active`) that read `key`, as labels.
-fn arms_reading(key: &str, active: &str) -> Vec<&'static str> {
-    WORKLOAD_ARM_KEYS
-        .iter()
-        .filter(|(arm, keys)| *arm != active && keys.contains(&key))
-        .map(|(arm, _)| *arm)
-        .collect()
+/// The keys only the `active` arm of an arm table reads.
+fn arm_keys(arms: &[(&str, &'static [&'static str])], active: &str) -> &'static [&'static str] {
+    arms.iter()
+        .find(|(arm, _)| *arm == active)
+        .map_or(&[], |(_, keys)| keys)
 }
 
 /// Rejects unknown top-level keys. Dotted families are validated
-/// member-by-member in their own loaders; this pass catches unknown
+/// member-by-member by their own [`Family`]; this pass catches unknown
 /// families, bare-key typos, and group keys that drifted above the
 /// first `[[group]]` header.
 fn validate_root_keys(root: &Table) -> Result<(), SpecError> {
+    let names = || ROOT.iter().map(|k| k.0);
     for key in root.keys() {
-        if let Some((family, _)) = key.split_once('.') {
-            if !KNOWN_ROOT_FAMILIES.contains(&family) {
-                let hint = did_you_mean(family, KNOWN_ROOT_FAMILIES.iter().copied());
-                return Err(SpecError(format!(
-                    "unknown key family {family:?} in {key:?} (supported: {}){hint}",
-                    KNOWN_ROOT_FAMILIES.join(", ")
-                )));
+        if let Some(dot) = key.find('.') {
+            if names().any(|n| n == &key[..=dot]) {
+                continue;
             }
-            continue;
+            let families = names().filter_map(|n| n.strip_suffix('.'));
+            return Err(unknown("key family", &key[..dot], families));
         }
-        if KNOWN_ROOT_KEYS.contains(&key.as_str()) {
+        if names().any(|n| n == key) {
             continue;
         }
         let group_key = KNOWN_GROUP_KEYS.contains(&key.as_str())
@@ -1119,11 +858,11 @@ fn validate_root_keys(root: &Table) -> Result<(), SpecError> {
                 "{key:?} is a group key; move it below a [[group]] header"
             )));
         }
-        let hint = did_you_mean(key, KNOWN_ROOT_KEYS.iter().copied());
-        return Err(SpecError(format!(
-            "unknown top-level key {key:?} (supported: {}){hint}",
-            KNOWN_ROOT_KEYS.join(", ")
-        )));
+        return Err(unknown(
+            "top-level key",
+            key,
+            names().filter(|n| !n.ends_with('.')),
+        ));
     }
     Ok(())
 }
@@ -1138,30 +877,28 @@ fn validate_group_keys(
     workload: &str,
     arrival: &str,
 ) -> Result<(), SpecError> {
-    let workload_keys = WORKLOAD_ARM_KEYS
-        .iter()
-        .find(|(arm, _)| *arm == workload)
-        .map(|(_, ks)| *ks)
-        .unwrap_or(&[]);
-    let arrival_keys = ARRIVAL_ARM_KEYS
-        .iter()
-        .find(|(arm, _)| *arm == arrival)
-        .map(|(_, ks)| *ks)
-        .unwrap_or(&[]);
+    let (workload_keys, arrival_keys) = (
+        arm_keys(&WORKLOAD_ARM_KEYS, workload),
+        arm_keys(&ARRIVAL_ARM_KEYS, arrival),
+    );
+    let supported = || {
+        KNOWN_GROUP_KEYS
+            .iter()
+            .chain(workload_keys)
+            .chain(arrival_keys)
+            .copied()
+    };
     for key in g.keys() {
         let key = key.as_str();
-        // params.* (and the cost.* rejection) are handled by the
-        // override loaders, which already know their member keys.
-        if key.contains('.') {
+        // params.* members are checked by PARAMS itself.
+        if key.starts_with(PARAMS.prefix()) || supported().any(|k| k == key) {
             continue;
         }
-        if KNOWN_GROUP_KEYS.contains(&key)
-            || workload_keys.contains(&key)
-            || arrival_keys.contains(&key)
-        {
-            continue;
-        }
-        let other_workloads = arms_reading(key, workload);
+        let other_workloads: Vec<&str> = WORKLOAD_ARM_KEYS
+            .iter()
+            .filter(|(arm, keys)| *arm != workload && keys.contains(&key))
+            .map(|(arm, _)| *arm)
+            .collect();
         if !other_workloads.is_empty() {
             return Err(SpecError(format!(
                 "group {group_name:?}: {key:?} is only used by workload = \"{}\" \
@@ -1180,30 +917,14 @@ fn validate_group_keys(
                  change the arrival"
             )));
         }
-        if KNOWN_ROOT_KEYS.contains(&key) {
+        if ROOT.iter().any(|k| k.0 == key) {
             return Err(SpecError(format!(
                 "group {group_name:?}: {key:?} is a top-level key; move it above \
                  the first [[group]] header"
             )));
         }
-        let hint = did_you_mean(
-            key,
-            KNOWN_GROUP_KEYS
-                .iter()
-                .copied()
-                .chain(workload_keys.iter().copied())
-                .chain(arrival_keys.iter().copied()),
-        );
-        return Err(SpecError(format!(
-            "group {group_name:?}: unknown key {key:?} (supported here: {}){hint}",
-            KNOWN_GROUP_KEYS
-                .iter()
-                .copied()
-                .chain(workload_keys.iter().copied())
-                .chain(arrival_keys.iter().copied())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )));
+        let e = unknown("key", key, supported());
+        return Err(SpecError(format!("group {group_name:?}: {}", e.0)));
     }
     Ok(())
 }
@@ -1249,23 +970,17 @@ fn arrival_from(g: &Table) -> Result<ArrivalSpec, SpecError> {
         "stagger" => Ok(ArrivalSpec::Staggered {
             gap: require_duration(g, "stagger", "stagger arrival")?,
         }),
-        "at" => match g.get("times") {
-            Some(Value::Array(items)) => {
-                let times = items
-                    .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => parse_duration(s),
-                        other => Err(SpecError(format!(
-                            "arrival times must be duration strings, got {other:?}"
-                        ))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ArrivalSpec::At { times })
-            }
-            _ => Err(SpecError(
-                "at arrival requires times = [\"<duration>\", ...]".into(),
-            )),
-        },
+        "at" => {
+            let times =
+                get_list(g, "times", "an array of duration strings", as_str)?.ok_or_else(|| {
+                    SpecError("at arrival requires times = [\"<duration>\", ...]".into())
+                })?;
+            let times = times
+                .into_iter()
+                .map(parse_duration)
+                .collect::<Result<_, _>>()?;
+            Ok(ArrivalSpec::At { times })
+        }
         "poisson" => Ok(ArrivalSpec::Poisson {
             rate_hz: get_f64(g, "rate_hz")?
                 .ok_or_else(|| SpecError("poisson arrival requires rate_hz".into()))?,
@@ -1290,118 +1005,68 @@ fn lifetime_from(g: &Table) -> Result<LifetimeSpec, SpecError> {
     Ok(LifetimeSpec::Fixed(parse_duration(s)?))
 }
 
+/// Builds one tenant group; `params.*` overrides start from the
+/// scenario's `params`.
+fn group_from(g: &Table, index: usize, params: &SchedParams) -> Result<TenantGroup, SpecError> {
+    let name = get_str(g, "name")?
+        .map(str::to_string)
+        .unwrap_or_else(|| format!("group{index}"));
+    if let Some(stray) = g.keys().find(|k| k.starts_with(COST.prefix())) {
+        return Err(SpecError(format!(
+            "group {name:?} sets {stray:?}: the cost model describes the \
+             simulated host and cannot vary per group; move it to the top level"
+        )));
+    }
+    validate_group_keys(
+        g,
+        &name,
+        get_str(g, "workload")?.unwrap_or("throttle"),
+        get_str(g, "arrival")?.unwrap_or("at-start"),
+    )?;
+    Ok(TenantGroup {
+        params: PARAMS.apply(g, params)?,
+        count: get_u32(g, "count")?.unwrap_or(1),
+        workload: workload_from(g)?,
+        arrival: arrival_from(g)?,
+        lifetime: lifetime_from(g)?,
+        device: get_u32(g, "device")?,
+        working_set: get_parsed(g, "working_set", parse_size)?,
+        name,
+    })
+}
+
+/// Reads every table of one block kind, naming the block in errors
+/// (`device[2]: …`).
+fn read_blocks<T>(
+    what: &str,
+    tables: &[Table],
+    read: impl Fn(&Table) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    let block = |(i, t)| read(t).map_err(|e| SpecError(format!("{what}[{i}]: {}", e.0)));
+    tables.iter().enumerate().map(block).collect()
+}
+
 /// Parses scenario TOML text. `fallback_name` (usually the file stem)
 /// names the scenario when the file has no `name` key.
 pub fn from_toml(text: &str, fallback_name: &str) -> Result<ScenarioSpec, SpecError> {
-    let (root, group_tables, device_tables, host_tables, fault_tables) = parse_document(text)?;
+    let (root, [groups, devices, hosts, faults]) = parse_document(text)?;
     validate_root_keys(&root)?;
-    let name = get_str(&root, "name")?.unwrap_or(fallback_name).to_string();
-    let horizon = require_duration(&root, "horizon", "scenario")?;
-    // [[device]] blocks define the device count when the devices key
-    // is absent; when both appear, validation checks they agree. The
+    // [[device]] blocks set the device count when the devices key is
+    // absent; when both appear, validation checks they agree. The
     // hosts key and [[host]] blocks follow the same rule one level up.
-    let devices = get_u64(&root, "devices")?
-        .map(|d| d as usize)
-        .unwrap_or_else(|| device_tables.len().max(1));
-    let hosts = get_u64(&root, "hosts")?
-        .map(|h| h as usize)
-        .unwrap_or_else(|| host_tables.len().max(1));
-    let mut spec = ScenarioSpec::new(name, horizon)
-        .seeds(seeds_from(&root)?)
-        .schedulers(schedulers_from(&root)?)
-        .devices(devices)
-        .hosts(hosts)
-        .placements(placements_from(&root)?)
-        .fleet_placements(fleet_placements_from(&root)?)
-        .rebalances(rebalances_from(&root)?);
-    for (i, h) in host_tables.iter().enumerate() {
-        spec.host_devices.push(host_from(h, i)?);
+    let mut spec = ScenarioSpec::new(fallback_name, SimDuration::ZERO)
+        .devices(devices.len().max(1))
+        .hosts(hosts.len().max(1));
+    for key in &ROOT {
+        set(&mut spec, &root, key)?;
     }
-    for (i, f) in fault_tables.iter().enumerate() {
-        let (at, kind) = fault_from(f, i)?;
-        spec.faults.push(FaultEvent {
-            at: neon_sim::SimTime::ZERO + at,
-            kind,
-        });
-    }
-    let (fault_config, fault_touched) = fault_config_from(&root)?;
-    if fault_touched {
-        spec.fault_config = fault_config;
-    }
-    spec.fault_modes = fault_modes_from(&root)?;
-    if let Some(label) = get_str(&root, "fleet_rebalance")? {
-        spec.fleet_rebalance = FleetRebalanceKind::from_label(label).ok_or_else(|| {
-            SpecError(format!(
-                "unknown fleet rebalance policy {label:?} (supported: off, count-diff)"
-            ))
-        })?;
-    }
-    let (cluster, cluster_touched) = cluster_from(&root)?;
-    if cluster_touched {
-        spec.cluster = Some(cluster);
-    }
-    if let Some(label) = get_str(&root, "metrics")? {
-        let mode = MetricsMode::from_label(label).ok_or_else(|| {
-            SpecError(format!(
-                "unknown metrics mode {label:?} (supported: exact, streaming)"
-            ))
-        })?;
-        spec = spec.metrics(mode);
-    }
-    if let Some(every) = get_duration(&root, "sample_every")? {
-        spec = spec.sample_every(every);
-    }
-    for (i, d) in device_tables.iter().enumerate() {
-        spec.device_slots.push(device_slot_from(d, i)?);
-    }
-    let (interconnect, interconnect_touched) = interconnect_from(&root)?;
-    if interconnect_touched {
-        spec.interconnect = Some(interconnect);
-    }
-    let (params, params_touched) = sched_params_from(&root, &SchedParams::default())?;
-    if params_touched {
-        spec.params = Some(params);
-    }
-    let (cost, cost_touched) = cost_from(&root)?;
-    if cost_touched {
-        spec.cost = Some(cost);
-    }
-    let scenario_params = spec.params.clone().unwrap_or_default();
-    for (i, g) in group_tables.iter().enumerate() {
-        let name = get_str(g, "name")?
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("group{i}"));
-        if let Some(stray) = g.keys().find(|k| k.starts_with("cost.")) {
-            return Err(SpecError(format!(
-                "group {name:?} sets {stray:?}: the cost model describes the \
-                 simulated host and cannot vary per group; move it to the top level"
-            )));
-        }
-        validate_group_keys(
-            g,
-            &name,
-            get_str(g, "workload")?.unwrap_or("throttle"),
-            get_str(g, "arrival")?.unwrap_or("at-start"),
-        )?;
-        let (params, params_touched) = sched_params_from(g, &scenario_params)?;
-        let group = TenantGroup {
-            name,
-            count: get_u32(g, "count")?.unwrap_or(1),
-            workload: workload_from(g)?,
-            arrival: arrival_from(g)?,
-            lifetime: lifetime_from(g)?,
-            device: get_u32(g, "device")?,
-            params: params_touched.then_some(params),
-            working_set: get_str(g, "working_set")?.map(parse_size).transpose()?,
-        };
-        spec.groups.push(group);
-    }
-    if matches!(root.get("rebalance"), Some(Value::Bool(_))) {
-        spec.compat_notes.push(
-            "rebalance takes a policy label; the boolean form is legacy \
-             (true → \"count-diff\", false → \"off\")"
-                .to_string(),
-        );
+    let slot = DeviceSlotSpec::near(GpuConfig::default());
+    spec.device_slots = read_blocks("device", &devices, |d| DEVICE.read(d, &slot))?;
+    spec.host_devices = read_blocks("host", &hosts, |h| HOST.read(h, &1))?;
+    spec.faults = read_blocks("fault", &faults, fault_from)?;
+    let params = spec.params.clone().unwrap_or_default();
+    for (i, g) in groups.iter().enumerate() {
+        spec.groups.push(group_from(g, i, &params)?);
     }
     spec.validate()?;
     Ok(spec)
@@ -1421,6 +1086,11 @@ pub fn from_file(path: &std::path::Path) -> Result<ScenarioSpec, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neon_core::fault::FaultMode;
+    use neon_core::fleet::{FleetPlacementKind, FleetRebalanceKind};
+    use neon_core::placement::PlacementKind;
+    use neon_core::sched::SchedulerKind;
+    use neon_core::telemetry::MetricsMode;
 
     const CHURN: &str = r#"
 # A comment.
@@ -2276,6 +1946,77 @@ kind = "hang"
             "",
             "name = \"big\"\ncount = 4000000000\n",
             "count 4000000000",
+        );
+    }
+
+    #[test]
+    fn zero_timeslice_is_rejected() {
+        rejected("params.timeslice = \"0s\"\n", "", "params.timeslice");
+        let e = rejected(
+            "devices = 2\n",
+            "device = 1\nparams.timeslice = \"0s\"\n",
+            "params.timeslice must be positive",
+        );
+        assert!(e.0.contains("group"), "{e}");
+    }
+
+    #[test]
+    fn zero_freerun_min_is_rejected() {
+        rejected("params.freerun_min = \"0s\"\n", "", "params.freerun_min");
+        rejected(
+            "params.freerun_min = \"0s\"\nparams.freerun_max = \"0s\"\n",
+            "",
+            "params.freerun_min",
+        );
+    }
+
+    #[test]
+    fn zero_polling_period_is_rejected() {
+        rejected("cost.polling_period = \"0s\"\n", "", "cost.polling_period");
+    }
+
+    #[test]
+    fn zero_ring_is_rejected() {
+        rejected("[[device]]\nring = 0\n", "", "ring must be at least 1");
+    }
+
+    #[test]
+    fn oversized_working_set_is_rejected() {
+        let e = parse_size("99999999999999999999GB").unwrap_err();
+        assert!(e.0.contains("overflows"), "{e}");
+        let e = rejected(
+            "",
+            "working_set = \"99999999999999999999GB\"\n",
+            "working_set",
+        );
+        assert!(e.0.contains("99999999999999999999GB"), "{e}");
+        // The largest sizes that fit still load.
+        assert_eq!(parse_size("16777215GB").unwrap(), 16_777_215 << 30);
+    }
+
+    #[test]
+    fn label_arrays_may_contain_all() {
+        let text = "horizon = \"10ms\"\ndevices = 2\nplacement = [\"pinned:1\", \"all\"]\n\
+                    rebalance = [\"all\"]\nschedulers = [\"paper\", \"engaged-drr\"]\n\
+                    faults = [\"all\"]\n[[group]]\nworkload = \"throttle\"\nrequest = \"1ms\"\n";
+        let spec = from_toml(text, "x").unwrap();
+        let mut placements = vec![PlacementKind::Pinned(1)];
+        placements.extend(PlacementKind::ALL);
+        assert_eq!(spec.placements, placements);
+        assert_eq!(spec.rebalances, RebalanceKind::ALL.to_vec());
+        let mut schedulers = SchedulerKind::PAPER.to_vec();
+        schedulers.push(SchedulerKind::EngagedDrr);
+        assert_eq!(spec.schedulers, schedulers);
+        assert_eq!(
+            spec.fault_modes,
+            vec![FaultMode::All],
+            "faults \"all\" is one mode"
+        );
+        // A single-label key takes no group name.
+        rejected(
+            "fleet_rebalance = \"all\"\n",
+            "",
+            "unknown fleet rebalance policy",
         );
     }
 }
