@@ -39,7 +39,7 @@
 //! (default: horizon/200), and `--trace-out FILE` captures the
 //! per-cell event traces as JSONL.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use neon_core::fault::FaultMode;
@@ -122,6 +122,22 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Reads a path flag value.
+fn path(value: Option<&String>, flag: &str) -> Result<PathBuf, String> {
+    value
+        .map(PathBuf::from)
+        .ok_or_else(|| format!("{flag} needs a path"))
+}
+
+/// Writes one output file, naming it on stderr unless `quiet`.
+fn write_output(path: &Path, text: &str, what: &str, quiet: bool) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    if !quiet {
+        eprintln!("{what} written to {}", path.display());
+    }
+    Ok(())
+}
+
 /// Parses a count flag value, which must be at least 1.
 fn positive(value: Option<&String>, flag: &str) -> Result<usize, String> {
     let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -185,14 +201,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--rebalance" => opts.rebalances = Some(labels(it.next(), arg, &REBALANCES)?),
             "--faults" => opts.faults = Some(labels(it.next(), arg, &FAULT_MODES)?),
-            "--out" => {
-                let v = it.next().ok_or("--out needs a path")?;
-                opts.out = Some(PathBuf::from(v));
-            }
-            "--csv" => {
-                let v = it.next().ok_or("--csv needs a path")?;
-                opts.csv = Some(PathBuf::from(v));
-            }
+            "--out" => opts.out = Some(path(it.next(), arg)?),
+            "--csv" => opts.csv = Some(path(it.next(), arg)?),
             "--metrics" => {
                 let v = it.next().ok_or("--metrics needs exact or streaming")?;
                 opts.metrics = Some(METRICS_MODES.parse_one(v).map_err(|e| e.0)?);
@@ -205,14 +215,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.sample_every = Some(d);
             }
-            "--timeline" => {
-                let v = it.next().ok_or("--timeline needs a path")?;
-                opts.timeline = Some(PathBuf::from(v));
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                opts.trace_out = Some(PathBuf::from(v));
-            }
+            "--timeline" => opts.timeline = Some(path(it.next(), arg)?),
+            "--trace-out" => opts.trace_out = Some(path(it.next(), arg)?),
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag {flag}"));
             }
@@ -294,70 +298,55 @@ fn load_specs(opts: &Options) -> Result<Vec<ScenarioSpec>, String> {
         .collect()
 }
 
-fn cmd_check(opts: &Options) -> ExitCode {
-    match load_specs(opts) {
-        Ok(specs) => {
-            let mut notes = 0usize;
-            for spec in &specs {
-                for note in &spec.compat_notes {
-                    notes += 1;
-                    eprintln!("{}: note: {note}", spec.name);
-                }
-                println!(
-                    "{}: {} group(s), horizon {}, {} host(s) × {} device(s), \
-                     {} scheduler(s) × {} placement(s) × {} fleet placement(s) × \
-                     {} rebalance(s) × {} fault mode(s) × {} seed(s) = {} cells",
-                    spec.name,
-                    spec.groups.len(),
-                    spec.horizon,
-                    spec.hosts,
-                    spec.devices,
-                    spec.schedulers.len(),
-                    spec.placements.len(),
-                    spec.fleet_placements.len(),
-                    spec.rebalances.len(),
-                    spec.effective_fault_modes().len(),
-                    spec.seeds.len(),
-                    spec.cell_count(),
-                );
-                for g in &spec.groups {
-                    let pin = match g.device {
-                        Some(d) => format!(" (pinned dev{d})"),
-                        None => String::new(),
-                    };
-                    println!(
-                        "  group {:>12}: count {:>3}{pin}, {:?}",
-                        g.name, g.count, g.workload
-                    );
-                }
-            }
-            if opts.strict && notes > 0 {
-                eprintln!("neon: --strict: {notes} compatibility note(s) above are fatal");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
+fn cmd_check(opts: &Options) -> Result<(), String> {
+    let specs = load_specs(opts)?;
+    let mut notes = 0usize;
+    for spec in &specs {
+        for note in &spec.compat_notes {
+            notes += 1;
+            eprintln!("{}: note: {note}", spec.name);
         }
-        Err(e) => {
-            eprintln!("neon: {e}");
-            ExitCode::FAILURE
+        println!(
+            "{}: {} group(s), horizon {}, {} host(s) × {} device(s), \
+             {} scheduler(s) × {} placement(s) × {} fleet placement(s) × \
+             {} rebalance(s) × {} fault mode(s) × {} seed(s) = {} cells",
+            spec.name,
+            spec.groups.len(),
+            spec.horizon,
+            spec.hosts,
+            spec.devices,
+            spec.schedulers.len(),
+            spec.placements.len(),
+            spec.fleet_placements.len(),
+            spec.rebalances.len(),
+            spec.effective_fault_modes().len(),
+            spec.seeds.len(),
+            spec.cell_count(),
+        );
+        for g in &spec.groups {
+            let pin = match g.device {
+                Some(d) => format!(" (pinned dev{d})"),
+                None => String::new(),
+            };
+            println!(
+                "  group {:>12}: count {:>3}{pin}, {:?}",
+                g.name, g.count, g.workload
+            );
         }
     }
+    if opts.strict && notes > 0 {
+        return Err(format!(
+            "--strict: {notes} compatibility note(s) above are fatal"
+        ));
+    }
+    Ok(())
 }
 
-fn cmd_run(opts: &Options) -> ExitCode {
-    let specs = match load_specs(opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("neon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_run(opts: &Options) -> Result<(), String> {
+    let specs = load_specs(opts)?;
     let threads = match opts.threads.as_deref() {
         Some([t]) => Some(*t),
-        Some(_) => {
-            eprintln!("neon: run takes a single --threads value (a list is for bench)");
-            return ExitCode::FAILURE;
-        }
+        Some(_) => return Err("run takes a single --threads value (a list is for bench)".into()),
         None => None,
     };
     let cells = sweep::plan(specs);
@@ -377,25 +366,11 @@ fn cmd_run(opts: &Options) -> ExitCode {
     }
     let json = emit::to_json(&outcome);
     match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("neon: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            if !opts.quiet {
-                eprintln!("JSON written to {}", path.display());
-            }
-        }
+        Some(path) => write_output(path, &json, "JSON", opts.quiet)?,
         None => print!("{json}"),
     }
     if let Some(path) = &opts.csv {
-        if let Err(e) = std::fs::write(path, emit::to_csv(&outcome)) {
-            eprintln!("neon: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !opts.quiet {
-            eprintln!("CSV written to {}", path.display());
-        }
+        write_output(path, &emit::to_csv(&outcome), "CSV", opts.quiet)?;
     }
     if let Some(path) = &opts.timeline {
         let text = if path.extension().is_some_and(|e| e == "csv") {
@@ -403,13 +378,7 @@ fn cmd_run(opts: &Options) -> ExitCode {
         } else {
             emit::timeline_json(&outcome)
         };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("neon: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !opts.quiet {
-            eprintln!("timeline written to {}", path.display());
-        }
+        write_output(path, &text, "timeline", opts.quiet)?;
     }
     if let Some(path) = &opts.trace_out {
         // One JSONL stream: each cell contributes a "cell" record
@@ -431,25 +400,13 @@ fn cmd_run(opts: &Options) -> ExitCode {
                 text.push_str(jsonl);
             }
         }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("neon: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !opts.quiet {
-            eprintln!("trace JSONL written to {}", path.display());
-        }
+        write_output(path, &text, "trace JSONL", opts.quiet)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_bench(opts: &Options) -> ExitCode {
-    let specs = match load_specs(opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("neon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_bench(opts: &Options) -> Result<(), String> {
+    let specs = load_specs(opts)?;
     let cells = sweep::plan(specs);
     eprintln!("benchmarking {} cells: serial first...", cells.len());
     let serial = sweep::run_serial(&cells);
@@ -489,16 +446,11 @@ fn cmd_bench(opts: &Options) -> ExitCode {
     // reference scenario.
     let json = emit::bench_json(&serial, &parallel_runs, &row_rss);
     match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("neon: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench JSON written to {}", path.display());
-        }
+        // Unlike run, bench names its output file even with --quiet.
+        Some(path) => write_output(path, &json, "bench JSON", false)?,
         None => print!("{json}"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -510,10 +462,17 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
-    match command.as_str() {
+    let done = match command.as_str() {
         "run" => cmd_run(&opts),
         "check" => cmd_check(&opts),
         "bench" => cmd_bench(&opts),
-        other => fail(&format!("unknown command {other:?}")),
+        other => return fail(&format!("unknown command {other:?}")),
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("neon: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

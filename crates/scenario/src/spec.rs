@@ -462,24 +462,9 @@ impl ScenarioSpec {
         }
     }
 
-    /// Appends a fault event to the schedule.
-    pub fn fault(mut self, at: SimDuration, kind: FaultKind) -> Self {
-        self.faults.push(FaultEvent {
-            at: neon_sim::SimTime::ZERO + at,
-            kind,
-        });
-        self
-    }
-
     /// Sets the recovery tuning (watchdog, retry budget, backoff).
     pub fn fault_config(mut self, config: FaultConfig) -> Self {
         self.fault_config = config;
-        self
-    }
-
-    /// Replaces the fault-mode axis.
-    pub fn fault_modes(mut self, modes: Vec<FaultMode>) -> Self {
-        self.fault_modes = modes;
         self
     }
 
@@ -524,18 +509,6 @@ impl ScenarioSpec {
     /// axis (see [`ScenarioSpec::custom_scheduler`]).
     pub fn custom_scheduler(mut self, factory: fn(SchedParams) -> Box<dyn Scheduler>) -> Self {
         self.custom_scheduler = Some(CustomScheduler(factory));
-        self
-    }
-
-    /// Sets the metrics aggregation mode.
-    pub fn metrics(mut self, mode: MetricsMode) -> Self {
-        self.metrics = mode;
-        self
-    }
-
-    /// Enables the periodic telemetry sampler at this cadence.
-    pub fn sample_every(mut self, every: SimDuration) -> Self {
-        self.sample_every = Some(every);
         self
     }
 
@@ -608,29 +581,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// Adds a heterogeneous host with this many devices; the host
-    /// count follows the list.
-    pub fn host_with_devices(mut self, devices: usize) -> Self {
-        self.host_devices.push(devices);
-        self.hosts = self.host_devices.len();
-        self
-    }
-
     /// Replaces the fleet placement axis.
     pub fn fleet_placements(mut self, kinds: Vec<FleetPlacementKind>) -> Self {
         self.fleet_placements = kinds;
-        self
-    }
-
-    /// Sets the cross-host rebalancing policy.
-    pub fn fleet_rebalance(mut self, kind: FleetRebalanceKind) -> Self {
-        self.fleet_rebalance = kind;
-        self
-    }
-
-    /// Sets the host-to-host transfer timing.
-    pub fn cluster(mut self, cluster: ClusterInterconnect) -> Self {
-        self.cluster = Some(cluster);
         self
     }
 
