@@ -17,13 +17,13 @@ use crate::spec::SpecError;
 /// the TOML keys and the `neon` CLI flags.
 pub struct Labels<T: 'static> {
     /// What an error calls one value (`"placement policy"`).
-    pub what: &'static str,
+    what: &'static str,
     /// Every kind, for the "supported: …" list and hints.
-    pub all: &'static [T],
+    all: &'static [T],
     /// Names that stand for several kinds (`"all"`, `"paper"`).
-    pub groups: &'static [(&'static str, &'static [T])],
+    groups: &'static [(&'static str, &'static [T])],
     /// The kind's own label parser.
-    pub parse: fn(&str) -> Option<T>,
+    parse: fn(&str) -> Option<T>,
 }
 
 impl<T: Copy + Display> Labels<T> {
