@@ -2658,6 +2658,7 @@ impl SchedCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
     use crate::placement::PlacementKind;
     use crate::sched::{DirectAccess, SchedulerKind};
     use crate::workload::FixedLoop;
@@ -3069,6 +3070,253 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Delegates every callback to `inner` and, at the first poll at
+    /// or after `at`, admits `late` through [`World::add_task`] — the
+    /// one way a task joins while the event loop is running.
+    struct AddsTaskAt {
+        inner: Box<dyn Scheduler>,
+        at: SimTime,
+        late: Option<BoxedWorkload>,
+    }
+
+    impl Scheduler for AddsTaskAt {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn init(&mut self, ctx: &mut SchedCtx<'_>) {
+            self.inner.init(ctx);
+        }
+        fn on_task_admitted(&mut self, ctx: &mut SchedCtx<'_>, task: TaskId) {
+            self.inner.on_task_admitted(ctx, task);
+        }
+        fn on_task_exit(&mut self, ctx: &mut SchedCtx<'_>, task: TaskId) {
+            self.inner.on_task_exit(ctx, task);
+        }
+        fn on_fault(
+            &mut self,
+            ctx: &mut SchedCtx<'_>,
+            task: TaskId,
+            ch: ChannelId,
+        ) -> FaultDecision {
+            self.inner.on_fault(ctx, task, ch)
+        }
+        fn on_poll(&mut self, ctx: &mut SchedCtx<'_>) {
+            self.inner.on_poll(ctx);
+            if ctx.now() >= self.at {
+                if let Some(w) = self.late.take() {
+                    ctx.world.add_task(w).expect("room for the late task");
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut SchedCtx<'_>, tag: u64) {
+            self.inner.on_timer(ctx, tag);
+        }
+        fn on_completion(&mut self, ctx: &mut SchedCtx<'_>, done: &neon_gpu::CompletedRequest) {
+            self.inner.on_completion(ctx, done);
+        }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = 0xcbf29ce484222325u64;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h
+    }
+
+    /// Every residency path of a task in one run: a 3-device host on
+    /// priced PCIe links under count-diff rebalancing, with exits (a
+    /// finished workload and a scheduled departure), a Timeslice
+    /// overlong kill on dev0, a crash, a hang that the watchdog
+    /// requeues and whose requeue hangs again past the retry budget, a
+    /// transient submit error, a hot-remove of dev2 that drain-migrates
+    /// its residents and parks its pinned one, a hot-add that restages
+    /// it, a second hot-remove that parks it until it is lost, and a
+    /// mid-run `add_task`.
+    fn lifecycle_world() -> (RunReport, World) {
+        let overlong = SchedParams {
+            overlong_limit: us(3_000),
+            ..SchedParams::default()
+        };
+        let mut plan = FaultPlan::new(FaultConfig {
+            watchdog: Some(us(5_000)),
+            retry_budget: 1,
+            max_park_retries: 2,
+            ..FaultConfig::default()
+        });
+        let at = |v: u64| SimTime::ZERO + us(v);
+        let task = |i: u32| Some(TaskId::new(i));
+        plan.push(at(2_000), FaultKind::SubmitError { task: task(3) })
+            .push(at(3_000), FaultKind::TaskHang { task: task(1) })
+            .push(at(6_000), FaultKind::TaskCrash { task: task(4) })
+            .push(
+                at(14_000),
+                FaultKind::DeviceRemove {
+                    device: DeviceId::new(2),
+                },
+            )
+            .push(
+                at(16_000),
+                FaultKind::DeviceAdd {
+                    device: DeviceId::new(2),
+                },
+            )
+            .push(at(20_000), FaultKind::TaskHang { task: task(10) })
+            .push(
+                at(24_000),
+                FaultKind::DeviceRemove {
+                    device: DeviceId::new(2),
+                },
+            );
+        let config = WorldConfig {
+            topology: Some(
+                Topology::symmetric(3, GpuConfig::default())
+                    .with_interconnect(InterconnectParams::pcie_gen3()),
+            ),
+            device_params: vec![overlong.clone()],
+            rebalance: RebalanceKind::CountDiff,
+            seed: 0x11FE,
+            faults: Some(plan),
+            ..WorldConfig::default()
+        };
+        let mut world =
+            World::with_devices(config, PlacementKind::LeastLoaded.build(), |d| {
+                match d.index() {
+                    0 => SchedulerKind::Timeslice.build(overlong.clone()),
+                    1 => Box::new(AddsTaskAt {
+                        inner: Box::new(DirectAccess::new()),
+                        at: at(12_000),
+                        late: Some(Box::new(FixedLoop::endless("late", us(120), us(10)))),
+                    }),
+                    _ => Box::new(DirectAccess::new()),
+                }
+            });
+        world.trace = Trace::with_capacity(1 << 16);
+        world.trace.set_enabled(true);
+        let endless = |name: &str, service: u64| -> BoxedWorkload {
+            Box::new(crate::workload::WithWorkingSet::new(
+                Box::new(FixedLoop::endless(name, us(service), us(20))),
+                4 << 20,
+            ))
+        };
+        let dev = DeviceId::new;
+        world
+            .add_task_pinned(endless("hog", 5_000), dev(0))
+            .unwrap();
+        world
+            .add_task_pinned(endless("victim", 200), dev(1))
+            .unwrap();
+        world
+            .add_task_pinned(endless("anchor", 150), dev(2))
+            .unwrap();
+        for (i, service) in [180, 160, 140, 220].into_iter().enumerate() {
+            world.add_task(endless(&format!("t{i}"), service)).unwrap();
+        }
+        world
+            .add_task(Box::new(FixedLoop::new("short", us(100), us(10), 40)))
+            .unwrap();
+        world.spawn_task_for(at(5_000), endless("visitor", 300), us(4_000));
+        world.spawn_task_for(at(9_000), endless("visitor2", 250), us(8_000));
+        let report = world.run(us(40_000));
+        (report, world)
+    }
+
+    /// Pins [`lifecycle_world`]'s trace, counters and per-task and
+    /// per-device outcomes, so every residency path keeps its exact
+    /// behaviour.
+    #[test]
+    fn lifecycle_paths_are_golden() {
+        let (report, world) = lifecycle_world();
+        let mut log = String::new();
+        for e in world.trace.iter() {
+            log.push_str(&format!("{e}\n"));
+        }
+        for needle in [
+            "depart: ",
+            "kill: ",
+            "crash: ",
+            "requeue: ",
+            "retry budget exhausted",
+            "submit-error: ",
+            "migrate: ",
+            "park: ",
+            "recover: ",
+            "park retries",
+            "admitted mid-run",
+        ] {
+            assert!(log.contains(needle), "the run no longer covers {needle:?}");
+        }
+        assert_eq!(fnv1a(log.as_bytes()), 0xb89092e768b04241, "trace drifted");
+        assert_eq!(
+            (
+                report.migrations,
+                report.recovered_tasks,
+                report.lost_tasks,
+                report.watchdog_kills,
+                report.fault_retries,
+                report.injected_faults,
+                report.hot_removes,
+                report.rejected_admissions,
+                report.stats.get(StatKey::Kills),
+            ),
+            (6, 3, 3, 2, 4, 7, 2, 0, 4)
+        );
+        assert_eq!(
+            (
+                report.faults,
+                report.direct_submits,
+                report.polls,
+                report.events,
+                report.transfer_stall,
+                report.degraded,
+            ),
+            (
+                181,
+                307,
+                39,
+                2472,
+                SimDuration::from_nanos(33_045_375),
+                us(18_000)
+            )
+        );
+        let tasks: String = report
+            .tasks
+            .iter()
+            .map(|t| {
+                format!(
+                    "{} {} {:?} {} {} {} {} {}\n",
+                    t.name,
+                    t.device,
+                    t.finished_at,
+                    t.killed,
+                    t.migrations,
+                    t.transfer_stall,
+                    t.completed_requests,
+                    t.rounds.len()
+                )
+            })
+            .collect();
+        assert_eq!(
+            fnv1a(tasks.as_bytes()),
+            0xe1f1c44c1b61b32c,
+            "task outcomes drifted:\n{tasks}"
+        );
+        let devices = format!(
+            "{:?}",
+            report
+                .devices
+                .iter()
+                .map(|d| (d.tenants, d.transfer_stall, d.degraded, &d.stats))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            fnv1a(devices.as_bytes()),
+            0xa4eee1d356afd1d0,
+            "device outcomes drifted:\n{devices}"
+        );
     }
 
     #[test]

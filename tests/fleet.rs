@@ -499,3 +499,95 @@ fn host_failure_spares_prestaged_residents() {
         assert!(report.hosts[h].tasks[0].finished_at.is_none());
     }
 }
+
+/// Every re-admission path of the fleet planner in one run: two
+/// 4-context hosts on a 25G cluster under fewest-tenants placement and
+/// count-diff rebalancing, with cluster-boundary rejections, rebalance
+/// moves of migratable tenants, and a failure of host 0 that
+/// re-admits its migratable residents, loses its non-migratable ones
+/// and those whose stay would end on the wire, then recovers.
+#[test]
+fn fleet_lifecycle_paths_are_golden() {
+    let host = |seed: u64| {
+        let config = WorldConfig {
+            gpu: GpuConfig {
+                total_contexts: 5,
+                ..GpuConfig::default()
+            },
+            seed,
+            ..WorldConfig::default()
+        };
+        World::with_devices(config, PlacementKind::LeastLoaded.build(), |_| {
+            SchedulerKind::Direct.build(SchedParams::default())
+        })
+    };
+    let mut fleet = Fleet::new(
+        vec![host(0xA), host(0xB)],
+        FleetPlacementKind::FewestTenants.build(),
+        FleetRebalanceKind::CountDiff.build(),
+        ClusterInterconnect::network_25g(),
+    );
+    for h in 0..2 {
+        fleet.host_mut(h).trace.set_enabled(true);
+    }
+    let mut plan = FaultPlan::default();
+    plan.push(SimTime::ZERO + ms(40), FaultKind::HostFail { host: 0 });
+    plan.push(SimTime::ZERO + ms(70), FaultKind::HostRecover { host: 0 });
+    fleet.set_faults(plan);
+    let at = |v: u64| SimTime::ZERO + ms(v);
+    let migratable = |request: u64| -> disengaged_scheduling::core::fleet::WorkloadFactory {
+        Box::new(move || Box::new(Throttle::new(us(request))) as _)
+    };
+    fleet.spawn_migratable_at(at(1), migratable(150));
+    fleet.spawn_migratable_for(at(2), migratable(170), ms(90));
+    fleet.spawn_task_for(at(3), Box::new(Throttle::new(us(160))), ms(12));
+    fleet.spawn_migratable_at(at(4), migratable(140));
+    fleet.spawn_task_at(at(5), Box::new(Throttle::new(us(180))));
+    fleet.spawn_migratable_for(at(6), migratable(200), ms(45));
+    for i in 0..6 {
+        fleet.spawn_task_for(at(7 + i), Box::new(Throttle::new(us(130))), ms(6 + 2 * i));
+    }
+    fleet.spawn_migratable_for(at(30), migratable(190), ms(25));
+    fleet.spawn_task_for(at(35), Box::new(Throttle::new(us(150))), ms(20));
+    fleet.spawn_migratable_for(at(36), migratable(210), ms(20));
+    fleet.spawn_migratable_for(at(38), migratable(220), ms(12));
+    let report = fleet.run(ms(120));
+    assert_eq!(
+        (
+            report.cross_host_migrations,
+            report.cluster_transfer_stall,
+            report.fleet_rejected,
+            report.host_failures,
+            report.fleet_lost_tasks,
+            report.fleet_fault_recovered,
+            report.host_degraded,
+        ),
+        (3, SimDuration::from_nanos(67_408_863), 2, 1, 4, 1, ms(30))
+    );
+    let mut hosts = Vec::new();
+    for (h, r) in report.hosts.iter().enumerate() {
+        let tasks: String = r
+            .tasks
+            .iter()
+            .map(|t| {
+                format!(
+                    "{} {:?} {:?} {}\n",
+                    t.name, t.arrived_at, t.finished_at, t.completed_requests
+                )
+            })
+            .collect();
+        hosts.push((
+            trace_hash(fleet.host(h)),
+            fnv1a(tasks.as_bytes()),
+            r.events,
+            r.rejected_admissions,
+        ));
+    }
+    assert_eq!(
+        hosts,
+        [
+            (0x6f317d417f8bb214, 0xf45fa7bef11f9cfc, 1259, 0),
+            (0xeae5be69f1f21ace, 0x4e360d00cf706f25, 3091, 0),
+        ]
+    );
+}
