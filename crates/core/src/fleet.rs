@@ -57,7 +57,7 @@
 
 use neon_gpu::{ClusterInterconnect, GpuError, TaskId};
 use neon_metrics::Distribution;
-use neon_sim::{SimDuration, SimTime};
+use neon_sim::{EventQueue, SimDuration, SimTime};
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::report::{GroupReport, RunReport};
@@ -438,9 +438,29 @@ struct FleetSpawn {
     /// The host planning routed this spawn to; `None` = rejected at
     /// the cluster boundary (or not planned yet).
     host: Option<usize>,
-    /// Planned departure instant after truncation by a migration;
-    /// `None` keeps the recorded `lifetime`.
-    truncated_at: Option<SimTime>,
+    /// When planning ended the residence (a departure, a migration or
+    /// a host failure); `None` keeps the recorded `lifetime`.
+    left_at: Option<SimTime>,
+}
+
+impl FleetSpawn {
+    fn new(
+        at: SimTime,
+        lifetime: Option<SimDuration>,
+        workload: BoxedWorkload,
+        factory: Option<WorkloadFactory>,
+    ) -> Self {
+        FleetSpawn {
+            at,
+            lifetime,
+            channels: workload.queues().len(),
+            working_set: workload.working_set_bytes(),
+            workload: Some(workload),
+            factory,
+            host: None,
+            left_at: None,
+        }
+    }
 }
 
 /// Per-host capacity ledger entry (planned reservations).
@@ -478,14 +498,20 @@ impl HostState {
     }
 }
 
-/// A planned resident tenant, tracked through the planning pass.
+/// A planned resident tenant, tracked through the planning pass; its
+/// channels, working set and migratability are its spawn's.
 struct Resident {
     spawn: usize,
     host: usize,
-    channels: usize,
-    working_set: u64,
-    migratable: bool,
     live: bool,
+}
+
+/// A step of the planning pass.
+enum Act {
+    Arrival(usize),
+    Departure(usize),
+    HostFail(usize),
+    HostRecover(usize),
 }
 
 /// Whole-fleet outcome: per-host reports plus the cluster-level view.
@@ -590,9 +616,12 @@ pub struct Fleet {
     placement: Box<dyn FleetPlacement>,
     rebalance: Box<dyn FleetRebalance>,
     cluster: ClusterInterconnect,
-    /// t = 0 ledger: capacity minus eager [`Fleet::add_task`]
-    /// reservations. Cloned as the planning pass's working state.
+    /// Capacity ledger: capacity minus eager [`Fleet::add_task`]
+    /// reservations until the run, then the planning pass's working
+    /// state.
     ledger: Vec<HostState>,
+    /// When each host failed, while it is down (planning only).
+    down_since: Vec<Option<SimTime>>,
     spawns: Vec<FleetSpawn>,
     faults: Option<FaultPlan>,
     fleet_rejected: u64,
@@ -633,6 +662,7 @@ impl Fleet {
             })
             .collect();
         Fleet {
+            down_since: vec![None; hosts.len()],
             hosts,
             placement,
             rebalance,
@@ -693,11 +723,21 @@ impl Fleet {
         self.hosts.len() > 1
     }
 
+    /// Ledger snapshot of every host; a down host advertises zero free
+    /// capacity, so no placement policy can route an arrival (or a
+    /// re-admission) to it.
     fn loads(&self) -> Vec<HostLoad> {
         self.ledger
             .iter()
             .enumerate()
-            .map(|(h, s)| s.load(h))
+            .map(|(h, s)| {
+                let mut l = s.load(h);
+                if self.down_since[h].is_some() {
+                    l.free_contexts = 0;
+                    l.free_channels = 0;
+                }
+                l
+            })
             .collect()
     }
 
@@ -779,24 +819,19 @@ impl Fleet {
         factory: Option<WorkloadFactory>,
     ) {
         assert!(!self.started, "spawn after Fleet::run");
-        self.spawns.push(FleetSpawn {
-            at,
-            lifetime,
-            channels: workload.queues().len(),
-            working_set: workload.working_set_bytes(),
-            workload: Some(workload),
-            factory,
-            host: None,
-            truncated_at: None,
-        });
+        self.spawns
+            .push(FleetSpawn::new(at, lifetime, workload, factory));
     }
 
     /// The cluster-level planning pass: routes every recorded spawn to
     /// a host (or rejects it), and lets the rebalance policy name
-    /// cross-host migrations at departures. Single-host fleets skip
-    /// planning entirely — everything flows to host 0, unconditionally,
-    /// so the host's own admission control is the only gate (and the
-    /// staged program is byte-identical to a bare world's).
+    /// cross-host migrations at departures. It runs on an
+    /// [`EventQueue`], so same-instant steps keep the order they were
+    /// scheduled in and the pass is fully deterministic. Single-host
+    /// fleets skip planning entirely — everything flows to host 0,
+    /// unconditionally, so the host's own admission control is the only
+    /// gate (and the staged program is byte-identical to a bare
+    /// world's).
     fn plan(&mut self, horizon: SimDuration) {
         if !self.multi() {
             for s in &mut self.spawns {
@@ -804,94 +839,33 @@ impl Fleet {
             }
             return;
         }
-        // (time, seq) orders the pass: seq is allocation order, so
-        // same-instant events process in creation order and the pass is
-        // fully deterministic.
-        #[derive(PartialEq, Eq)]
-        enum Act {
-            Arrival(usize),
-            Departure(usize),
-            HostFail(usize),
-            HostRecover(usize),
-        }
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, usize)>> =
-            std::collections::BinaryHeap::new();
-        let mut actions: Vec<Act> = Vec::new();
-        let push = |heap: &mut std::collections::BinaryHeap<_>,
-                    actions: &mut Vec<Act>,
-                    at: SimTime,
-                    act: Act| {
-            let seq = actions.len();
-            actions.push(act);
-            heap.push(std::cmp::Reverse((at, seq as u64, seq)));
-        };
+        let mut queue = EventQueue::new();
         // Host faults enqueue first: a failure at an arrival's instant
         // is visible to that arrival's placement decision.
         if let Some(plan) = &self.faults {
             for ev in plan.host_events() {
                 match ev.kind {
                     FaultKind::HostFail { host } => {
-                        push(&mut heap, &mut actions, ev.at, Act::HostFail(host as usize));
+                        queue.schedule(ev.at, Act::HostFail(host as usize));
                     }
                     FaultKind::HostRecover { host } => {
-                        push(
-                            &mut heap,
-                            &mut actions,
-                            ev.at,
-                            Act::HostRecover(host as usize),
-                        );
+                        queue.schedule(ev.at, Act::HostRecover(host as usize));
                     }
                     _ => {}
                 }
             }
         }
-        for i in 0..self.spawns.len() {
-            push(&mut heap, &mut actions, self.spawns[i].at, Act::Arrival(i));
+        for (i, s) in self.spawns.iter().enumerate() {
+            queue.schedule(s.at, Act::Arrival(i));
         }
-        let mut state = self.ledger.clone();
         let mut residents: Vec<Resident> = Vec::new();
-        let mut down = vec![false; state.len()];
-        let mut down_since: Vec<Option<SimTime>> = vec![None; state.len()];
-        // A down host advertises zero free capacity, so no placement
-        // policy can route an arrival (or a re-admission) to it.
-        fn masked_loads(state: &[HostState], down: &[bool]) -> Vec<HostLoad> {
-            state
-                .iter()
-                .enumerate()
-                .map(|(h, s)| {
-                    let mut l = s.load(h);
-                    if down[h] {
-                        l.free_contexts = 0;
-                        l.free_channels = 0;
-                    }
-                    l
-                })
-                .collect()
-        }
         let rebalance_active = self.rebalance.active();
-        while let Some(std::cmp::Reverse((now, _, seq))) = heap.pop() {
-            match actions[seq] {
+        while let Some((now, act)) = queue.pop() {
+            match act {
                 Act::Arrival(i) => {
-                    let channels = self.spawns[i].channels;
-                    let loads = masked_loads(&state, &down);
-                    match self.placement.place(&loads, channels) {
-                        Some(h) => {
-                            let host = h.index();
-                            state[host].occupy(channels);
-                            self.spawns[i].host = Some(host);
-                            let r = residents.len();
-                            residents.push(Resident {
-                                spawn: i,
-                                host,
-                                channels,
-                                working_set: self.spawns[i].working_set,
-                                migratable: self.spawns[i].factory.is_some(),
-                                live: true,
-                            });
-                            if let Some(l) = self.spawns[i].lifetime {
-                                push(&mut heap, &mut actions, now + l, Act::Departure(r));
-                            }
-                        }
+                    let loads = self.loads();
+                    match self.placement.place(&loads, self.spawns[i].channels) {
+                        Some(h) => self.settle(&mut queue, &mut residents, i, h.index()),
                         None => self.fleet_rejected += 1,
                     }
                 }
@@ -899,157 +873,82 @@ impl Fleet {
                     if !residents[r].live {
                         continue;
                     }
-                    residents[r].live = false;
-                    state[residents[r].host].release(residents[r].channels);
+                    self.leave(&mut residents[r], now);
                     if !rebalance_active {
                         continue;
                     }
                     // Post-departure snapshot + movable tenants, in
                     // admission order (continuations are already
                     // non-migratable, so one move per tenant).
-                    let loads = masked_loads(&state, &down);
+                    let loads = self.loads();
                     let candidates: Vec<HostMigrationCandidate> = residents
                         .iter()
                         .enumerate()
-                        .filter(|(_, c)| c.live && c.migratable)
+                        .filter(|(_, c)| c.live && self.spawns[c.spawn].factory.is_some())
                         .map(|(ord, c)| HostMigrationCandidate {
                             ord,
                             host: HostId::from_index(c.host),
-                            channels: c.channels,
-                            working_set: c.working_set,
+                            channels: self.spawns[c.spawn].channels,
+                            working_set: self.spawns[c.spawn].working_set,
                         })
                         .collect();
                     let Some(m) = self.rebalance.plan(now, &loads, &candidates) else {
                         continue;
                     };
-                    let mover = m.candidate;
-                    let to = m.to.index();
+                    let (mover, to) = (m.candidate, m.to.index());
                     // Verify the plan before executing it, mirroring
                     // the world's distrust of policy output.
                     let sound = residents.get(mover).is_some_and(|c| {
-                        c.live && c.migratable && c.host != to && to < state.len()
-                    }) && !down[to]
-                        && state[to].load(to).fits(residents[mover].channels);
-                    if !sound {
-                        continue;
-                    }
-                    let spawn = residents[mover].spawn;
-                    let transfer = self.cluster.transfer_cost(residents[mover].working_set);
-                    let rearrive = now + transfer;
-                    // Remaining stay after the wire; a move that the
-                    // tenant would not outlive is skipped.
-                    let remaining = match self.spawns[spawn].lifetime {
-                        Some(l) => {
-                            let ends = self.spawns[spawn].at + l;
-                            if ends <= rearrive {
-                                continue;
-                            }
-                            Some(ends.saturating_duration_since(rearrive))
-                        }
-                        None => None,
-                    };
-                    // Truncate the source residence at the decision
-                    // instant and restage on the target after the
-                    // transfer.
-                    self.spawns[spawn].truncated_at = Some(now);
-                    state[residents[mover].host].release(residents[mover].channels);
-                    residents[mover].live = false;
-                    let cont = mover_continuation(&mut self.spawns, spawn, rearrive, remaining);
-                    let channels = self.spawns[cont].channels;
-                    state[to].occupy(channels);
-                    let r = residents.len();
-                    residents.push(Resident {
-                        spawn: cont,
-                        host: to,
-                        channels,
-                        working_set: self.spawns[cont].working_set,
-                        migratable: false,
-                        live: true,
+                        c.live
+                            && self.spawns[c.spawn].factory.is_some()
+                            && c.host != to
+                            && to < self.ledger.len()
+                            && self.down_since[to].is_none()
+                            && self.ledger[to].load(to).fits(self.spawns[c.spawn].channels)
                     });
-                    self.spawns[cont].host = Some(to);
-                    if let Some(l) = remaining {
-                        push(&mut heap, &mut actions, rearrive + l, Act::Departure(r));
+                    // A move that the tenant would not outlive is
+                    // skipped; otherwise the source residence ends at
+                    // the decision instant.
+                    if sound && self.readmit(&mut queue, &mut residents, mover, to, now) {
+                        self.leave(&mut residents[mover], now);
                     }
-                    self.cross_host_migrations += 1;
-                    self.cluster_transfer_stall += transfer;
                 }
                 Act::HostFail(h) => {
-                    if h >= state.len() || down[h] {
+                    if h >= self.ledger.len() || self.down_since[h].is_some() {
                         continue;
                     }
-                    down[h] = true;
-                    down_since[h] = Some(now);
+                    self.down_since[h] = Some(now);
                     self.host_failures += 1;
                     // Every resident dies with the host. Migratable
                     // tenants are re-admitted on a surviving host over
                     // the cluster interconnect (teardown-and-restage,
-                    // same as a planned migration); the rest are lost.
-                    let victims: Vec<usize> = residents
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.live && c.host == h)
-                        .map(|(r, _)| r)
-                        .collect();
-                    for r in victims {
-                        residents[r].live = false;
-                        state[h].release(residents[r].channels);
-                        let spawn = residents[r].spawn;
-                        self.spawns[spawn].truncated_at = Some(now);
-                        if !residents[r].migratable {
-                            self.fleet_lost_tasks += 1;
+                    // same as a planned migration); the rest, and those
+                    // whose stay would end on the wire, are lost.
+                    for r in 0..residents.len() {
+                        if !residents[r].live || residents[r].host != h {
                             continue;
                         }
-                        let loads = masked_loads(&state, &down);
-                        let Some(to) = self
-                            .placement
-                            .place(&loads, residents[r].channels)
-                            .map(|x| x.index())
-                        else {
-                            self.fleet_lost_tasks += 1;
-                            continue;
-                        };
-                        let transfer = self.cluster.transfer_cost(residents[r].working_set);
-                        let rearrive = now + transfer;
-                        let remaining = match self.spawns[spawn].lifetime {
-                            Some(l) => {
-                                let ends = self.spawns[spawn].at + l;
-                                if ends <= rearrive {
-                                    // The tenant's stay would end on
-                                    // the wire — nothing to re-admit.
-                                    self.fleet_lost_tasks += 1;
-                                    continue;
-                                }
-                                Some(ends.saturating_duration_since(rearrive))
+                        self.leave(&mut residents[r], now);
+                        let spawn = &self.spawns[residents[r].spawn];
+                        let to = match spawn.factory {
+                            Some(_) => {
+                                let loads = self.loads();
+                                self.placement.place(&loads, spawn.channels)
                             }
                             None => None,
                         };
-                        let cont = mover_continuation(&mut self.spawns, spawn, rearrive, remaining);
-                        let channels = self.spawns[cont].channels;
-                        state[to].occupy(channels);
-                        let rr = residents.len();
-                        residents.push(Resident {
-                            spawn: cont,
-                            host: to,
-                            channels,
-                            working_set: self.spawns[cont].working_set,
-                            migratable: false,
-                            live: true,
-                        });
-                        self.spawns[cont].host = Some(to);
-                        if let Some(l) = remaining {
-                            push(&mut heap, &mut actions, rearrive + l, Act::Departure(rr));
+                        match to {
+                            Some(to)
+                                if self.readmit(&mut queue, &mut residents, r, to.index(), now) =>
+                            {
+                                self.fleet_fault_recovered += 1;
+                            }
+                            _ => self.fleet_lost_tasks += 1,
                         }
-                        self.cross_host_migrations += 1;
-                        self.cluster_transfer_stall += transfer;
-                        self.fleet_fault_recovered += 1;
                     }
                 }
                 Act::HostRecover(h) => {
-                    if h >= state.len() || !down[h] {
-                        continue;
-                    }
-                    down[h] = false;
-                    if let Some(since) = down_since[h].take() {
+                    if let Some(since) = self.down_since.get_mut(h).and_then(Option::take) {
                         self.host_degraded += now.saturating_duration_since(since);
                     }
                 }
@@ -1058,9 +957,80 @@ impl Fleet {
         // A host still down when the plan ends is degraded through the
         // horizon.
         let end = SimTime::ZERO + horizon;
-        for since in down_since.iter_mut().filter_map(|s| s.take()) {
+        for since in self.down_since.iter_mut().filter_map(|s| s.take()) {
             self.host_degraded += end.saturating_duration_since(since);
         }
+    }
+
+    /// Reserves `spawn`'s capacity on `host`, records it as a resident
+    /// there and schedules its planned departure.
+    fn settle(
+        &mut self,
+        queue: &mut EventQueue<Act>,
+        residents: &mut Vec<Resident>,
+        spawn: usize,
+        host: usize,
+    ) {
+        let s = &mut self.spawns[spawn];
+        s.host = Some(host);
+        self.ledger[host].occupy(s.channels);
+        if let Some(l) = s.lifetime {
+            queue.schedule(s.at + l, Act::Departure(residents.len()));
+        }
+        residents.push(Resident {
+            spawn,
+            host,
+            live: true,
+        });
+    }
+
+    /// Ends resident `r`'s planned residence at `now` and releases its
+    /// reservation.
+    fn leave(&mut self, r: &mut Resident, now: SimTime) {
+        r.live = false;
+        let s = &mut self.spawns[r.spawn];
+        s.left_at = Some(now);
+        self.ledger[r.host].release(s.channels);
+    }
+
+    /// Re-admits resident `r`'s tenant on host `to`
+    /// (teardown-and-restage): a continuation spawn arrives once the
+    /// tenant's working set has crossed the cluster interconnect and
+    /// stays for what is left of the tenant's planned stay. Returns
+    /// `false`, planning nothing, when that stay would end on the wire.
+    fn readmit(
+        &mut self,
+        queue: &mut EventQueue<Act>,
+        residents: &mut Vec<Resident>,
+        r: usize,
+        to: usize,
+        now: SimTime,
+    ) -> bool {
+        let spawn = residents[r].spawn;
+        let transfer = self.cluster.transfer_cost(self.spawns[spawn].working_set);
+        let rearrive = now + transfer;
+        let remaining = match self.spawns[spawn].lifetime {
+            Some(l) => {
+                let ends = self.spawns[spawn].at + l;
+                if ends <= rearrive {
+                    return false;
+                }
+                Some(ends.saturating_duration_since(rearrive))
+            }
+            None => None,
+        };
+        let mut factory = self.spawns[spawn]
+            .factory
+            .take()
+            // lint: allow(unchecked-unwrap) — only spawns staged with a
+            // rebuildable factory are re-admitted, each at most once
+            .expect("only migratable spawns migrate");
+        let cont = FleetSpawn::new(rearrive, remaining, factory(), None);
+        self.spawns.push(cont);
+        self.settle(queue, residents, self.spawns.len() - 1, to);
+        self.cross_host_migrations += 1;
+        self.cluster_transfer_stall += transfer;
+        true
     }
 
     /// Runs the whole fleet to `horizon` and merges the per-host
@@ -1084,7 +1054,7 @@ impl Fleet {
                 // spawn exactly once, so its workload is still present
                 .expect("each spawn stages once");
             let at = self.spawns[i].at;
-            let lifetime = match self.spawns[i].truncated_at {
+            let lifetime = match self.spawns[i].left_at {
                 Some(t) => Some(t.saturating_duration_since(at)),
                 None => self.spawns[i].lifetime,
             };
@@ -1108,37 +1078,6 @@ impl Fleet {
             host_degraded: self.host_degraded,
         }
     }
-}
-
-/// Appends the continuation spawn for a migrated tenant and returns
-/// its index. A helper (not a method) so the borrow on `spawns` stays
-/// local to the planning loop.
-fn mover_continuation(
-    spawns: &mut Vec<FleetSpawn>,
-    source: usize,
-    at: SimTime,
-    lifetime: Option<SimDuration>,
-) -> usize {
-    let mut factory = spawns[source]
-        .factory
-        .take()
-        // lint: allow(unchecked-unwrap) — the rebalance planner only migrates
-        // spawns staged with a rebuildable factory, each at most once
-        .expect("only migratable spawns migrate");
-    let workload = factory();
-    let channels = workload.queues().len();
-    let working_set = workload.working_set_bytes();
-    spawns.push(FleetSpawn {
-        at,
-        lifetime,
-        channels,
-        working_set,
-        workload: Some(workload),
-        factory: None,
-        host: None,
-        truncated_at: None,
-    });
-    spawns.len() - 1
 }
 
 #[cfg(test)]
