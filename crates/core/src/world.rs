@@ -2078,6 +2078,7 @@ impl World {
         let transfer = self.topology.staging_cost(to, ws);
         let task = &mut self.tasks[id.index()];
         task.displaced = false;
+        // Not parked any more: the policy must not wake it early.
         task.state = TaskState::Ready;
         task.round_start = self.now + transfer;
         self.note(to, StatKey::RecoveredTasks);
